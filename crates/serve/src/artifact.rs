@@ -14,40 +14,25 @@
 //! * the interpolants discovered during refinement — seeded into the
 //!   query cache so re-refinement of an unchanged path is a lookup.
 //!
-//! # File format
-//!
-//! One file per program key, `<slug>-<hash16>.art`:
-//!
-//! ```text
-//! homc-artifact v1\n                       ← magic + schema version
-//! XXXXXXXX YYYYYYYYYYYYYYYY <payload>\n    ← one frame_line per record
-//! ```
-//!
-//! using the same FNV-checksummed framing as cache segments. Record
-//! payloads are flat token streams in the [`crate::codec`] style (tagged,
+//! One file per program key, `<slug>-<hash16>.art`, in the
+//! [`crate::store`] format under the magic `homc-artifact`. Record payloads
+//! are flat token streams in the [`crate::codec`] style (tagged,
 //! length-prefixed strings, explicit child counts, total decoding).
 //!
-//! # Failure policy
-//!
-//! The whole file is one atomic unit of trust: *any* integrity violation
-//! (bad magic, framing, checksum, decode error, structural mismatch)
-//! quarantines the file — rename to `<name>.quarantined`, bump
-//! [`Counter::ArtifactQuarantine`] — and the caller proceeds cold. A
-//! partial artifact is never seeded: unlike cache records, the pieces are
-//! interdependent (a memo entry is only meaningful next to the manifest it
-//! was fingerprinted against). Version mismatches are removed silently
-//! (clean cold start, artifacts are rebuildable by construction).
-//! Publication composes the file in memory, writes a dot-prefixed temp
-//! file, fsyncs, and `rename`s.
+//! The whole file is one unit of trust: *any* integrity violation (bad
+//! magic, framing, checksum, decode error, structural mismatch) quarantines
+//! it, bumping [`Counter::ArtifactQuarantine`], and the caller proceeds
+//! cold. A partial artifact is never seeded: unlike cache records, the
+//! pieces are interdependent (a memo entry is only meaningful next to the
+//! manifest it was fingerprinted against). Files of another version are
+//! reclaimed (artifacts are rebuildable by construction).
 //!
 //! Soundness does not rest on any of this: everything seeded from an
 //! artifact is a *candidate* (predicates, cone-fingerprinted memo
 //! entries, cached interpolant answers keyed by full keys), so even a
 //! checksum-forging corruption could cost iterations, never verdicts.
 
-use std::collections::BTreeSet;
-use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use homc_abs::{AbsEnv, AbsTy, MemoDefExport, Predicate};
@@ -57,15 +42,24 @@ use homc_lang::manifest::{DefEntry, Manifest};
 use homc_lang::types::SimpleTy;
 use homc_metrics::{Counter, Metrics};
 use homc_smt::{Formula, InterpKey, Literal};
-use homc_trace::stable_hash64;
 
-use crate::codec::{put_atom, put_formula, put_var, CodecError, Cur};
-use crate::disk::{frame_line, parse_frame};
+use crate::codec::{put_atom, put_formula, put_list, put_str, put_var, CodecError, Cur};
+use crate::store::{Assemble, Policy, Store};
 
 /// First bytes of every artifact file.
 pub const ARTIFACT_MAGIC: &str = "homc-artifact";
 /// Schema version of the record payloads; bump on any codec change.
 pub const ARTIFACT_VERSION: u32 = 1;
+
+static POLICY: Policy = Policy {
+    magic: ARTIFACT_MAGIC,
+    version: ARTIFACT_VERSION,
+    prefix: "",
+    ext: ".art",
+    reclaim_stale: true,
+    skip_bad_records: false,
+    counter: Counter::ArtifactQuarantine,
+};
 
 /// Everything one verification run persists for its program.
 #[derive(Clone, Debug)]
@@ -84,41 +78,33 @@ pub struct Artifact {
 /// cache directory — the file-name namespaces don't collide).
 #[derive(Clone, Debug)]
 pub struct ArtifactStore {
-    dir: PathBuf,
-    metrics: Metrics,
+    store: Store,
 }
 
 impl ArtifactStore {
     /// A store rooted at `dir` (created on first publish).
     pub fn new(dir: impl Into<PathBuf>) -> ArtifactStore {
         ArtifactStore {
-            dir: dir.into(),
-            metrics: Metrics::disabled(),
+            store: Store::new(dir.into(), &POLICY),
         }
     }
 
     /// Attaches a metrics registry ([`Counter::ArtifactQuarantine`]).
     pub fn with_metrics(mut self, metrics: Metrics) -> ArtifactStore {
-        self.metrics = metrics;
+        self.store = self.store.with_metrics(metrics);
         self
     }
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// The file path for a program key. The key (a suite program name or a
     /// source path) is slugged for the filesystem and disambiguated by its
     /// full FNV hash, so distinct keys never share a file.
     pub fn path_for(&self, key: &str) -> PathBuf {
-        let slug: String = key
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .take(40)
-            .collect();
-        self.dir
-            .join(format!("{slug}-{:016x}.art", stable_hash64(key)))
+        self.store.path_for(key)
     }
 
     /// Loads the artifact for `key`. A `None` artifact with
@@ -127,68 +113,18 @@ impl ArtifactStore {
     /// `<name>.quarantined` (and counted) — either way the caller proceeds
     /// cold.
     pub fn load(&self, key: &str) -> io::Result<ArtifactLoad> {
-        let path = self.path_for(key);
-        let miss = ArtifactLoad {
-            artifact: None,
-            quarantined: false,
-        };
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(miss),
-            Err(_) => {
-                self.quarantine(&path);
-                return Ok(ArtifactLoad {
-                    artifact: None,
-                    quarantined: true,
-                });
-            }
-        };
-        match parse_artifact(&bytes) {
-            ParseOutcome::Good(a) => Ok(ArtifactLoad {
-                artifact: Some(*a),
-                quarantined: false,
-            }),
-            ParseOutcome::Stale => {
-                // Another schema version: rebuildable, reclaim silently.
-                let _ = fs::remove_file(&path);
-                Ok(miss)
-            }
-            ParseOutcome::Corrupt => {
-                self.quarantine(&path);
-                Ok(ArtifactLoad {
-                    artifact: None,
-                    quarantined: true,
-                })
-            }
-        }
-    }
-
-    fn quarantine(&self, path: &Path) {
-        let mut q = path.as_os_str().to_owned();
-        q.push(".quarantined");
-        let _ = fs::rename(path, PathBuf::from(q));
-        self.metrics.incr(Counter::ArtifactQuarantine);
+        let (artifact, quarantined) = self.store.load_keyed::<PartialArtifact>(key);
+        Ok(ArtifactLoad {
+            artifact,
+            quarantined,
+        })
     }
 
     /// Publishes `artifact` under `key`, atomically replacing any previous
     /// artifact for the same key.
     pub fn publish(&self, key: &str, artifact: &Artifact) -> io::Result<PathBuf> {
-        let mut bytes = format!("{ARTIFACT_MAGIC} v{ARTIFACT_VERSION}\n").into_bytes();
-        for payload in encode_artifact(artifact) {
-            bytes.extend_from_slice(frame_line(&payload).as_bytes());
-        }
-        fs::create_dir_all(&self.dir)?;
-        let final_path = self.path_for(key);
-        let tmp_path = self
-            .dir
-            .join(format!(".tmp-art-{:016x}", stable_hash64(key)));
-        {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        Ok(final_path)
+        let text = POLICY.compose(encode_artifact(artifact));
+        self.store.publish_keyed(key, text.as_bytes())
     }
 }
 
@@ -202,18 +138,10 @@ pub struct ArtifactLoad {
     pub quarantined: bool,
 }
 
-enum ParseOutcome {
-    Good(Box<Artifact>),
-    Stale,
-    Corrupt,
-}
-
 // ---------------------------------------------------------------- encoding
 
 pub(crate) fn put_funname(out: &mut String, f: &FunName) {
-    out.push_str(&f.0.len().to_string());
-    out.push(':');
-    out.push_str(&f.0);
+    put_str(out, &f.0);
 }
 
 pub(crate) fn put_u64(out: &mut String, n: u64) {
@@ -238,23 +166,19 @@ fn put_simplety(out: &mut String, t: &SimpleTy) {
     }
 }
 
-pub(crate) fn put_predicate(out: &mut String, p: &Predicate) {
+fn put_predicate(out: &mut String, p: &Predicate) {
     put_var(out, p.nu());
     out.push(' ');
     put_formula(out, p.body());
 }
 
-pub(crate) fn put_absty(out: &mut String, t: &AbsTy) {
+fn put_absty(out: &mut String, t: &AbsTy) {
     match t {
         AbsTy::Base(st, preds) => {
             out.push_str("B ");
             put_simplety(out, st);
             out.push(' ');
-            put_usize(out, preds.len());
-            for p in preds {
-                out.push(' ');
-                put_predicate(out, p);
-            }
+            put_list(out, preds, put_predicate);
         }
         AbsTy::Fun(x, a, r) => {
             out.push_str("F ");
@@ -298,11 +222,7 @@ fn put_boolexpr(out: &mut String, e: &BoolExpr) {
         BoolExpr::And(gs) | BoolExpr::Or(gs) => {
             out.push(if matches!(e, BoolExpr::And(_)) { '&' } else { '|' });
             out.push(' ');
-            put_usize(out, gs.len());
-            for g in gs {
-                out.push(' ');
-                put_boolexpr(out, g);
-            }
+            put_list(out, gs, put_boolexpr);
         }
     }
 }
@@ -311,11 +231,7 @@ fn put_bval(out: &mut String, v: &BVal) {
     match v {
         BVal::Tuple(es) => {
             out.push_str("T ");
-            put_usize(out, es.len());
-            for e in es {
-                out.push(' ');
-                put_boolexpr(out, e);
-            }
+            put_list(out, es, put_boolexpr);
         }
         BVal::Var(x) => {
             out.push_str("V ");
@@ -329,11 +245,7 @@ fn put_bval(out: &mut String, v: &BVal) {
             out.push_str("A ");
             put_bval(out, h);
             out.push(' ');
-            put_usize(out, args.len());
-            for a in args {
-                out.push(' ');
-                put_bval(out, a);
-            }
+            put_list(out, args, put_bval);
         }
     }
 }
@@ -348,11 +260,7 @@ fn put_bexpr(out: &mut String, e: &BExpr) {
             out.push_str("c ");
             put_bval(out, h);
             out.push(' ');
-            put_usize(out, args.len());
-            for a in args {
-                out.push(' ');
-                put_bval(out, a);
-            }
+            put_list(out, args, put_bval);
         }
         BExpr::Let(x, rhs, body) => {
             out.push_str("l ");
@@ -387,13 +295,11 @@ fn put_bexpr(out: &mut String, e: &BExpr) {
 fn put_bdef(out: &mut String, d: &BDef) {
     put_funname(out, &d.name);
     out.push(' ');
-    put_usize(out, d.params.len());
-    for (x, t) in &d.params {
-        out.push(' ');
+    put_list(out, &d.params, |out, (x, t)| {
         put_var(out, x);
         out.push(' ');
         put_bty(out, t);
-    }
+    });
     out.push(' ');
     put_bexpr(out, &d.body);
 }
@@ -413,18 +319,38 @@ fn put_literal(out: &mut String, l: &Literal) {
     }
 }
 
+/// Encodes a predicate environment as `E` records (one per scheme) and
+/// `R` records (one per rand site); shared by artifacts and evidence.
+pub(crate) fn encode_env(env: &AbsEnv, out: &mut Vec<String>) {
+    for (f, scheme) in &env.schemes {
+        let mut s = String::from("E ");
+        put_funname(&mut s, f);
+        s.push(' ');
+        put_list(&mut s, scheme, |out, (x, t)| {
+            put_var(out, x);
+            out.push(' ');
+            put_absty(out, t);
+        });
+        out.push(s);
+    }
+    for (x, preds) in &env.rand_sites {
+        let mut s = String::from("R ");
+        put_var(&mut s, x);
+        s.push(' ');
+        put_list(&mut s, preds, put_predicate);
+        out.push(s);
+    }
+}
+
 /// Encodes an artifact as one record payload per logical piece: an `H`
 /// header, `M` manifest entries, `E` schemes, `R` rand sites, `D` memo
 /// entries, and `I` interpolants.
 fn encode_artifact(a: &Artifact) -> Vec<String> {
-    let mut out = Vec::new();
-    {
-        let mut s = String::from("H ");
-        put_funname(&mut s, &a.manifest.main);
-        s.push(' ');
-        put_usize(&mut s, a.manifest.defs.len());
-        out.push(s);
-    }
+    let mut s = String::from("H ");
+    put_funname(&mut s, &a.manifest.main);
+    s.push(' ');
+    put_usize(&mut s, a.manifest.defs.len());
+    let mut out = vec![s];
     for (i, d) in a.manifest.defs.iter().enumerate() {
         let mut s = String::from("M ");
         put_usize(&mut s, i);
@@ -436,30 +362,7 @@ fn encode_artifact(a: &Artifact) -> Vec<String> {
         put_u64(&mut s, d.cone_hash);
         out.push(s);
     }
-    for (f, scheme) in &a.env.schemes {
-        let mut s = String::from("E ");
-        put_funname(&mut s, f);
-        s.push(' ');
-        put_usize(&mut s, scheme.len());
-        for (x, t) in scheme {
-            s.push(' ');
-            put_var(&mut s, x);
-            s.push(' ');
-            put_absty(&mut s, t);
-        }
-        out.push(s);
-    }
-    for (x, preds) in &a.env.rand_sites {
-        let mut s = String::from("R ");
-        put_var(&mut s, x);
-        s.push(' ');
-        put_usize(&mut s, preds.len());
-        for p in preds {
-            s.push(' ');
-            put_predicate(&mut s, p);
-        }
-        out.push(s);
-    }
+    encode_env(&a.env, &mut out);
     for e in &a.memo {
         let mut s = String::from("D ");
         put_usize(&mut s, e.index);
@@ -474,28 +377,16 @@ fn encode_artifact(a: &Artifact) -> Vec<String> {
         s.push(' ');
         put_usize(&mut s, e.ctx_truncated);
         s.push(' ');
-        put_usize(&mut s, e.defs.len());
-        for d in &e.defs {
-            s.push(' ');
-            put_bdef(&mut s, d);
-        }
+        put_list(&mut s, &e.defs, put_bdef);
         out.push(s);
     }
     for ((a1, a2, depth), value) in &a.interp {
         let mut s = String::from("I ");
         put_usize(&mut s, *depth as usize);
         s.push(' ');
-        put_usize(&mut s, a1.len());
-        for l in a1 {
-            s.push(' ');
-            put_literal(&mut s, l);
-        }
+        put_list(&mut s, a1, put_literal);
         s.push(' ');
-        put_usize(&mut s, a2.len());
-        for l in a2 {
-            s.push(' ');
-            put_literal(&mut s, l);
-        }
+        put_list(&mut s, a2, put_literal);
         s.push(' ');
         match value {
             Some(f) => {
@@ -536,25 +427,20 @@ fn get_simplety(c: &mut Cur<'_>) -> Result<SimpleTy, CodecError> {
     }
 }
 
-pub(crate) fn get_predicate(c: &mut Cur<'_>) -> Result<Predicate, CodecError> {
+fn get_predicate(c: &mut Cur<'_>) -> Result<Predicate, CodecError> {
     let nu = c.var()?;
     c.sep()?;
     let body = c.formula()?;
     Ok(Predicate::new(nu, body))
 }
 
-pub(crate) fn get_absty(c: &mut Cur<'_>) -> Result<AbsTy, CodecError> {
+fn get_absty(c: &mut Cur<'_>) -> Result<AbsTy, CodecError> {
     match c.tok()? {
         "B" => {
             c.sep()?;
             let st = get_simplety(c)?;
             c.sep()?;
-            let n = c.count()?;
-            let mut preds = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                preds.push(get_predicate(c)?);
-            }
+            let preds = c.list(get_predicate)?;
             Ok(AbsTy::Base(st, preds))
         }
         "F" => {
@@ -603,12 +489,7 @@ fn get_boolexpr(c: &mut Cur<'_>) -> Result<BoolExpr, CodecError> {
         }
         tag @ ("&" | "|") => {
             c.sep()?;
-            let n = c.count()?;
-            let mut gs = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                gs.push(get_boolexpr(c)?);
-            }
+            let gs = c.list(get_boolexpr)?;
             Ok(if tag == "&" {
                 BoolExpr::And(gs)
             } else {
@@ -623,12 +504,7 @@ fn get_bval(c: &mut Cur<'_>) -> Result<BVal, CodecError> {
     match c.tok()? {
         "T" => {
             c.sep()?;
-            let n = c.count()?;
-            let mut es = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                es.push(get_boolexpr(c)?);
-            }
+            let es = c.list(get_boolexpr)?;
             Ok(BVal::Tuple(es))
         }
         "V" => {
@@ -643,12 +519,7 @@ fn get_bval(c: &mut Cur<'_>) -> Result<BVal, CodecError> {
             c.sep()?;
             let h = get_bval(c)?;
             c.sep()?;
-            let n = c.count()?;
-            let mut args = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                args.push(get_bval(c)?);
-            }
+            let args = c.list(get_bval)?;
             Ok(BVal::PApp(Box::new(h), args))
         }
         t => Err(c.err(format!("bad boolean-value tag {t:?}"))),
@@ -665,12 +536,7 @@ fn get_bexpr(c: &mut Cur<'_>) -> Result<BExpr, CodecError> {
             c.sep()?;
             let h = get_bval(c)?;
             c.sep()?;
-            let n = c.count()?;
-            let mut args = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                args.push(get_bval(c)?);
-            }
+            let args = c.list(get_bval)?;
             Ok(BExpr::Call(h, args))
         }
         "l" => {
@@ -711,14 +577,11 @@ fn get_bexpr(c: &mut Cur<'_>) -> Result<BExpr, CodecError> {
 fn get_bdef(c: &mut Cur<'_>) -> Result<BDef, CodecError> {
     let name = get_funname(c)?;
     c.sep()?;
-    let n = c.count()?;
-    let mut params = Vec::new();
-    for _ in 0..n {
-        c.sep()?;
+    let params = c.list(|c| {
         let x = c.var()?;
         c.sep()?;
-        params.push((x, get_bty(c)?));
-    }
+        Ok((x, get_bty(c)?))
+    })?;
     c.sep()?;
     let body = get_bexpr(c)?;
     Ok(BDef { name, params, body })
@@ -742,6 +605,34 @@ fn get_literal(c: &mut Cur<'_>) -> Result<Literal, CodecError> {
         }
         t => Err(c.err(format!("bad literal tag {t:?}"))),
     }
+}
+
+/// Decodes the body of an `E` or `R` record (the inverse of
+/// [`encode_env`]) into `env`.
+pub(crate) fn decode_env(tag: &str, c: &mut Cur<'_>, env: &mut AbsEnv) -> Result<(), CodecError> {
+    c.sep()?;
+    if tag == "E" {
+        let f = get_funname(c)?;
+        c.sep()?;
+        let scheme = c.list(|c| {
+            let x = c.var()?;
+            c.sep()?;
+            Ok((x, get_absty(c)?))
+        })?;
+        c.end()?;
+        if env.schemes.insert(f, scheme).is_some() {
+            return Err(c.err("duplicate scheme record"));
+        }
+    } else {
+        let x = c.var()?;
+        c.sep()?;
+        let preds = c.list(get_predicate)?;
+        c.end()?;
+        if env.rand_sites.insert(x, preds).is_some() {
+            return Err(c.err("duplicate rand-site record"));
+        }
+    }
+    Ok(())
 }
 
 /// Decodes one record payload into `partial`; structural errors surface as
@@ -778,38 +669,7 @@ fn decode_into(payload: &str, partial: &mut PartialArtifact) -> Result<(), Codec
                 },
             ));
         }
-        "E" => {
-            c.sep()?;
-            let f = get_funname(&mut c)?;
-            c.sep()?;
-            let n = c.count()?;
-            let mut scheme = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                let x = c.var()?;
-                c.sep()?;
-                scheme.push((x, get_absty(&mut c)?));
-            }
-            c.end()?;
-            if partial.env.schemes.insert(f, scheme).is_some() {
-                return Err(c.err("duplicate scheme record"));
-            }
-        }
-        "R" => {
-            c.sep()?;
-            let x = c.var()?;
-            c.sep()?;
-            let n = c.count()?;
-            let mut preds = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                preds.push(get_predicate(&mut c)?);
-            }
-            c.end()?;
-            if partial.env.rand_sites.insert(x, preds).is_some() {
-                return Err(c.err("duplicate rand-site record"));
-            }
-        }
+        tag @ ("E" | "R") => decode_env(tag, &mut c, &mut partial.env)?,
         "D" => {
             c.sep()?;
             let index = c.count()?;
@@ -824,12 +684,7 @@ fn decode_into(payload: &str, partial: &mut PartialArtifact) -> Result<(), Codec
             c.sep()?;
             let ctx_truncated = c.count()?;
             c.sep()?;
-            let n = c.count()?;
-            let mut defs = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                defs.push(get_bdef(&mut c)?);
-            }
+            let defs = c.list(get_bdef)?;
             c.end()?;
             partial.memo.push(MemoDefExport {
                 index,
@@ -847,19 +702,9 @@ fn decode_into(payload: &str, partial: &mut PartialArtifact) -> Result<(), Codec
             let depth =
                 u32::try_from(depth).map_err(|_| c.err("interpolation depth out of range"))?;
             c.sep()?;
-            let n1 = c.count()?;
-            let mut a1 = Vec::new();
-            for _ in 0..n1 {
-                c.sep()?;
-                a1.push(get_literal(&mut c)?);
-            }
+            let a1 = c.list(get_literal)?;
             c.sep()?;
-            let n2 = c.count()?;
-            let mut a2 = Vec::new();
-            for _ in 0..n2 {
-                c.sep()?;
-                a2.push(get_literal(&mut c)?);
-            }
+            let a2 = c.list(get_literal)?;
             c.sep()?;
             let value = match c.tok()? {
                 "0" => None,
@@ -886,60 +731,34 @@ struct PartialArtifact {
     interp: Vec<(InterpKey, Option<Formula>)>,
 }
 
-fn parse_artifact(bytes: &[u8]) -> ParseOutcome {
-    let Some(header_end) = bytes.iter().position(|&b| b == b'\n') else {
-        return ParseOutcome::Corrupt;
-    };
-    let Ok(header) = std::str::from_utf8(&bytes[..header_end]) else {
-        return ParseOutcome::Corrupt;
-    };
-    let Some(version) = header
-        .strip_prefix(ARTIFACT_MAGIC)
-        .and_then(|r| r.strip_prefix(" v"))
-    else {
-        return ParseOutcome::Corrupt;
-    };
-    match version.parse::<u32>() {
-        Ok(v) if v == ARTIFACT_VERSION => {}
-        Ok(_) => return ParseOutcome::Stale,
-        Err(_) => return ParseOutcome::Corrupt,
+impl Assemble for PartialArtifact {
+    type Out = Artifact;
+
+    fn add(&mut self, payload: &str) -> Result<(), CodecError> {
+        decode_into(payload, self)
     }
-    let mut partial = PartialArtifact::default();
-    let mut pos = header_end + 1;
-    while pos < bytes.len() {
-        let Some(frame) = parse_frame(&bytes[pos..]) else {
-            return ParseOutcome::Corrupt;
-        };
-        pos += frame.consumed;
-        if stable_hash64(frame.payload) != frame.sum {
-            return ParseOutcome::Corrupt;
+
+    /// Structural validation: the manifest must be complete and contiguous.
+    fn finish(mut self) -> Option<Artifact> {
+        let (main, ndefs) = self.header?;
+        if self.defs.len() != ndefs {
+            return None;
         }
-        if decode_into(frame.payload, &mut partial).is_err() {
-            return ParseOutcome::Corrupt;
+        // Sorted indices equal to their positions are exactly 0..ndefs.
+        self.defs.sort_by_key(|(i, _)| *i);
+        if !self.defs.iter().enumerate().all(|(i, (j, _))| i == *j) {
+            return None;
         }
+        Some(Artifact {
+            manifest: Manifest {
+                defs: self.defs.into_iter().map(|(_, d)| d).collect(),
+                main,
+            },
+            env: self.env,
+            memo: self.memo,
+            interp: self.interp,
+        })
     }
-    // Structural validation: the manifest must be complete and contiguous.
-    let Some((main, ndefs)) = partial.header else {
-        return ParseOutcome::Corrupt;
-    };
-    if partial.defs.len() != ndefs {
-        return ParseOutcome::Corrupt;
-    }
-    partial.defs.sort_by_key(|(i, _)| *i);
-    let contiguous = partial.defs.iter().enumerate().all(|(i, (j, _))| i == *j);
-    let distinct: BTreeSet<usize> = partial.defs.iter().map(|(i, _)| *i).collect();
-    if !contiguous || distinct.len() != ndefs {
-        return ParseOutcome::Corrupt;
-    }
-    ParseOutcome::Good(Box::new(Artifact {
-        manifest: Manifest {
-            defs: partial.defs.into_iter().map(|(_, d)| d).collect(),
-            main,
-        },
-        env: partial.env,
-        memo: partial.memo,
-        interp: partial.interp,
-    }))
 }
 
 #[cfg(test)]
@@ -947,6 +766,7 @@ mod tests {
     use super::*;
     use homc_lang::frontend;
     use homc_smt::{Atom, LinExpr, Var};
+    use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(

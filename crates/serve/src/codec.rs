@@ -47,24 +47,39 @@ impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------- encoding
 
-pub(crate) fn put_var(out: &mut String, v: &Var) {
-    let name = v.name();
-    out.push_str(&name.len().to_string());
+/// Encodes a length-prefixed string, `<len>:<bytes>`.
+pub(crate) fn put_str(out: &mut String, s: &str) {
+    out.push_str(&s.len().to_string());
     out.push(':');
-    out.push_str(name);
+    out.push_str(s);
+}
+
+pub(crate) fn put_var(out: &mut String, v: &Var) {
+    put_str(out, v.name());
+}
+
+/// Encodes an item count, then each item after a space.
+pub(crate) fn put_list<I>(out: &mut String, items: I, mut put: impl FnMut(&mut String, I::Item))
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+{
+    let items = items.into_iter();
+    out.push_str(&items.len().to_string());
+    for x in items {
+        out.push(' ');
+        put(out, x);
+    }
 }
 
 pub(crate) fn put_linexpr(out: &mut String, e: &LinExpr) {
     out.push_str(&e.constant_part().to_string());
-    let terms: Vec<_> = e.iter().collect();
     out.push(' ');
-    out.push_str(&terms.len().to_string());
-    for (v, c) in terms {
-        out.push(' ');
+    put_list(out, e.iter().collect::<Vec<_>>(), |out, (v, c)| {
         out.push_str(&c.to_string());
         out.push(' ');
         put_var(out, v);
-    }
+    });
 }
 
 pub(crate) fn put_atom(out: &mut String, a: &Atom) {
@@ -95,33 +110,23 @@ pub(crate) fn put_formula(out: &mut String, f: &Formula) {
         Formula::And(fs) | Formula::Or(fs) => {
             out.push(if matches!(f, Formula::And(_)) { '&' } else { '|' });
             out.push(' ');
-            out.push_str(&fs.len().to_string());
-            for g in fs {
-                out.push(' ');
-                put_formula(out, g);
-            }
+            put_list(out, fs, put_formula);
         }
     }
 }
 
 pub(crate) fn put_model(out: &mut String, m: &Model) {
-    let ints: Vec<_> = m.ints().collect();
-    let bools: Vec<_> = m.bools().collect();
-    out.push_str(&ints.len().to_string());
-    for (v, n) in ints {
-        out.push(' ');
+    put_list(out, m.ints().collect::<Vec<_>>(), |out, (v, n)| {
         put_var(out, v);
         out.push(' ');
         out.push_str(&n.to_string());
-    }
+    });
     out.push(' ');
-    out.push_str(&bools.len().to_string());
-    for (v, b) in bools {
-        out.push(' ');
+    put_list(out, m.bools().collect::<Vec<_>>(), |out, (v, b)| {
         put_var(out, v);
         out.push(' ');
         out.push(if b { '1' } else { '0' });
-    }
+    });
 }
 
 /// Encodes one `check`-table record (`C <depth> <formula> <verdict>`).
@@ -147,11 +152,7 @@ pub fn encode_cube(key: &(Vec<Atom>, u32), value: CubeSat) -> String {
     let mut out = String::from("Q ");
     out.push_str(&key.1.to_string());
     out.push(' ');
-    out.push_str(&key.0.len().to_string());
-    for a in &key.0 {
-        out.push(' ');
-        put_atom(&mut out, a);
-    }
+    put_list(&mut out, &key.0, put_atom);
     out.push(' ');
     out.push(match value {
         CubeSat::Sat => 's',
@@ -213,6 +214,22 @@ impl<'a> Cur<'a> {
         t.parse::<usize>().map_err(|_| self.err(format!("bad count {t:?}")))
     }
 
+    /// Decodes an item count, then each item after a space (the inverse of
+    /// [`put_list`]). Items are parsed one at a time, so a corrupt count
+    /// runs out of input instead of allocating.
+    pub(crate) fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let n = self.count()?;
+        let mut out = Vec::new();
+        for _ in 0..n {
+            self.sep()?;
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
     pub(crate) fn var(&mut self) -> Result<Var, CodecError> {
         let rest = &self.s[self.pos..];
         let colon = rest
@@ -230,20 +247,18 @@ impl<'a> Cur<'a> {
     }
 
     pub(crate) fn linexpr(&mut self) -> Result<LinExpr, CodecError> {
-        let k = self.int()?;
+        let mut e = LinExpr::constant(self.int()?);
         self.sep()?;
-        let n = self.count()?;
-        let mut e = LinExpr::constant(k);
-        for _ in 0..n {
-            self.sep()?;
-            let c = self.int()?;
-            self.sep()?;
-            let v = self.var()?;
-            if c == 0 {
-                return Err(self.err("zero coefficient in stored expression"));
+        self.list(|c| {
+            let k = c.int()?;
+            c.sep()?;
+            let v = c.var()?;
+            if k == 0 {
+                return Err(c.err("zero coefficient in stored expression"));
             }
-            e.add_term(c, v);
-        }
+            e.add_term(k, v);
+            Ok(())
+        })?;
         Ok(e)
     }
 
@@ -280,12 +295,7 @@ impl<'a> Cur<'a> {
             }
             "&" | "|" => {
                 self.sep()?;
-                let n = self.count()?;
-                let mut fs = Vec::new();
-                for _ in 0..n {
-                    self.sep()?;
-                    fs.push(self.formula()?);
-                }
+                let fs = self.list(Cur::formula)?;
                 // Raw variants, not the smart constructors: the key must
                 // round-trip to the exact canonical form that was stored.
                 Ok(if tag == "&" {
@@ -299,29 +309,25 @@ impl<'a> Cur<'a> {
     }
 
     pub(crate) fn model(&mut self) -> Result<Model, CodecError> {
-        let mut ints = std::collections::BTreeMap::new();
-        let n = self.count()?;
-        for _ in 0..n {
-            self.sep()?;
-            let v = self.var()?;
-            self.sep()?;
-            ints.insert(v, self.int()?);
-        }
+        let ints = self.list(|c| {
+            let v = c.var()?;
+            c.sep()?;
+            Ok((v, c.int()?))
+        })?;
         self.sep()?;
-        let mut bools = std::collections::BTreeMap::new();
-        let n = self.count()?;
-        for _ in 0..n {
-            self.sep()?;
-            let v = self.var()?;
-            self.sep()?;
-            let b = match self.tok()? {
-                "1" => true,
-                "0" => false,
-                t => return Err(self.err(format!("bad boolean {t:?}"))),
-            };
-            bools.insert(v, b);
-        }
-        Ok(Model::new(ints, bools))
+        let bools = self.list(|c| {
+            let v = c.var()?;
+            c.sep()?;
+            match c.tok()? {
+                "1" => Ok((v, true)),
+                "0" => Ok((v, false)),
+                t => Err(c.err(format!("bad boolean {t:?}"))),
+            }
+        })?;
+        Ok(Model::new(
+            ints.into_iter().collect(),
+            bools.into_iter().collect(),
+        ))
     }
 
     pub(crate) fn end(&self) -> Result<(), CodecError> {
@@ -389,12 +395,7 @@ pub fn decode_record(payload: &str) -> Result<Record, CodecError> {
                 .try_into()
                 .map_err(|_| c.err("depth out of range"))?;
             c.sep()?;
-            let n = c.count()?;
-            let mut atoms = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                atoms.push(c.atom()?);
-            }
+            let atoms = c.list(Cur::atom)?;
             c.sep()?;
             let value = match c.tok()? {
                 "s" => CubeSat::Sat,

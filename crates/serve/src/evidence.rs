@@ -26,25 +26,16 @@
 //! mechanism introduced each predicate — the raw material for
 //! `homc explain`.
 //!
-//! # File format
-//!
-//! One file per program key, `<slug>-<hash16>.evd`:
-//!
-//! ```text
-//! homc-evidence v1\n                       ← magic + schema version
-//! XXXXXXXX YYYYYYYYYYYYYYYY <payload>\n    ← one frame_line per record
-//! ```
-//!
-//! using the same FNV-checksummed framing, atomic tmp-file+`rename`
-//! publication, and whole-file quarantine discipline as the artifact store:
-//! *any* integrity violation renames the file to `<name>.quarantined` and
-//! bumps [`Counter::ArtifactQuarantine`]. The [`Evidence::digest`] recorded
-//! in run ledgers is the FNV-1a hash of the complete rendered file, so a
-//! ledger entry pins the exact certificate bytes it was checked against.
+//! One file per program key, `<slug>-<hash16>.evd`, in the
+//! [`crate::store`] format under the magic `homc-evidence`, with the
+//! artifact store's whole-file trust: *any* integrity violation quarantines
+//! the file, bumping [`Counter::ArtifactQuarantine`]. The
+//! [`Evidence::digest`] recorded in run ledgers is the FNV-1a hash of the
+//! complete rendered file, so a ledger entry pins the exact certificate
+//! bytes it was checked against.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use homc_abs::AbsEnv;
@@ -55,16 +46,25 @@ use homc_smt::{ArithRefutation, CubeProof, Formula, Rat, UnsatProof};
 use homc_trace::stable_hash64;
 
 use crate::artifact::{
-    get_absty, get_funname, get_predicate, get_u64, put_absty, put_funname, put_predicate,
-    put_u64, put_usize,
+    decode_env, encode_env, get_funname, get_u64, put_funname, put_u64, put_usize,
 };
-use crate::codec::{put_formula, put_var, CodecError, Cur};
-use crate::disk::{frame_line, parse_frame};
+use crate::codec::{put_formula, put_list, put_str, put_var, CodecError, Cur};
+use crate::store::{Assemble, Policy, Store};
 
 /// First bytes of every evidence file.
 pub const EVIDENCE_MAGIC: &str = "homc-evidence";
 /// Schema version of the record payloads; bump on any codec change.
 pub const EVIDENCE_VERSION: u32 = 1;
+
+static POLICY: Policy = Policy {
+    magic: EVIDENCE_MAGIC,
+    version: EVIDENCE_VERSION,
+    prefix: "",
+    ext: ".evd",
+    reclaim_stale: true,
+    skip_bad_records: false,
+    counter: Counter::ArtifactQuarantine,
+};
 
 /// The origin of one predicate, stamped with the CEGAR iteration that
 /// introduced it (serialized form of the refiner's provenance).
@@ -139,104 +139,51 @@ impl Evidence {
 /// Handle to one evidence directory.
 #[derive(Clone, Debug)]
 pub struct EvidenceStore {
-    dir: PathBuf,
-    metrics: Metrics,
+    store: Store,
 }
 
 impl EvidenceStore {
     /// A store rooted at `dir` (created on first publish).
     pub fn new(dir: impl Into<PathBuf>) -> EvidenceStore {
         EvidenceStore {
-            dir: dir.into(),
-            metrics: Metrics::disabled(),
+            store: Store::new(dir.into(), &POLICY),
         }
     }
 
     /// Attaches a metrics registry ([`Counter::ArtifactQuarantine`]).
     pub fn with_metrics(mut self, metrics: Metrics) -> EvidenceStore {
-        self.metrics = metrics;
+        self.store = self.store.with_metrics(metrics);
         self
     }
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// The file path for a program key (same slug-plus-full-hash naming as
     /// the artifact store, different extension).
     pub fn path_for(&self, key: &str) -> PathBuf {
-        let slug: String = key
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .take(40)
-            .collect();
-        self.dir
-            .join(format!("{slug}-{:016x}.evd", stable_hash64(key)))
+        self.store.path_for(key)
     }
 
     /// Loads the evidence for `key`. A `None` with `quarantined: false` is a
     /// clean miss; with `quarantined: true` the file failed an integrity
     /// check and has been renamed to `<name>.quarantined` (and counted).
     pub fn load(&self, key: &str) -> io::Result<EvidenceLoad> {
-        let path = self.path_for(key);
-        let miss = EvidenceLoad {
-            evidence: None,
-            quarantined: false,
-        };
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(miss),
-            Err(_) => {
-                self.quarantine(&path);
-                return Ok(EvidenceLoad {
-                    evidence: None,
-                    quarantined: true,
-                });
-            }
-        };
-        match parse_evidence(&bytes) {
-            ParseOutcome::Good(e) => Ok(EvidenceLoad {
-                evidence: Some(*e),
-                quarantined: false,
-            }),
-            ParseOutcome::Stale => {
-                let _ = fs::remove_file(&path);
-                Ok(miss)
-            }
-            ParseOutcome::Corrupt => {
-                self.quarantine(&path);
-                Ok(EvidenceLoad {
-                    evidence: None,
-                    quarantined: true,
-                })
-            }
-        }
-    }
-
-    fn quarantine(&self, path: &Path) {
-        let mut q = path.as_os_str().to_owned();
-        q.push(".quarantined");
-        let _ = fs::rename(path, PathBuf::from(q));
-        self.metrics.incr(Counter::ArtifactQuarantine);
+        let (evidence, quarantined) = self.store.load_keyed::<Partial>(key);
+        Ok(EvidenceLoad {
+            evidence,
+            quarantined,
+        })
     }
 
     /// Publishes `evidence` under `key`, atomically replacing any previous
     /// evidence for the same key. Returns the path and the file digest.
     pub fn publish(&self, key: &str, evidence: &Evidence) -> io::Result<(PathBuf, u64)> {
         let text = render(evidence);
-        fs::create_dir_all(&self.dir)?;
-        let final_path = self.path_for(key);
-        let tmp_path = self
-            .dir
-            .join(format!(".tmp-evd-{:016x}", stable_hash64(key)));
-        {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        Ok((final_path, stable_hash64(&text)))
+        let path = self.store.publish_keyed(key, text.as_bytes())?;
+        Ok((path, stable_hash64(&text)))
     }
 }
 
@@ -254,25 +201,10 @@ pub struct EvidenceLoad {
 /// and by `homc check` on an explicit file path. `None` means the bytes
 /// failed an integrity or schema check.
 pub fn parse_evidence_bytes(bytes: &[u8]) -> Option<Evidence> {
-    match parse_evidence(bytes) {
-        ParseOutcome::Good(e) => Some(*e),
-        ParseOutcome::Stale | ParseOutcome::Corrupt => None,
-    }
-}
-
-enum ParseOutcome {
-    Good(Box<Evidence>),
-    Stale,
-    Corrupt,
+    POLICY.parse::<Partial>(bytes)
 }
 
 // ---------------------------------------------------------------- encoding
-
-fn put_str(out: &mut String, s: &str) {
-    out.push_str(&s.len().to_string());
-    out.push(':');
-    out.push_str(s);
-}
 
 fn put_rat(out: &mut String, r: Rat) {
     out.push_str(&r.num().to_string());
@@ -284,13 +216,11 @@ fn put_refutation(out: &mut String, r: &ArithRefutation) {
     match r {
         ArithRefutation::Farkas(cert) => {
             out.push_str("F ");
-            put_usize(out, cert.len());
-            for (i, c) in cert {
-                out.push(' ');
+            put_list(out, cert, |out, (i, c)| {
                 put_usize(out, *i);
                 out.push(' ');
                 put_rat(out, *c);
-            }
+            });
         }
         ArithRefutation::Gcd(i) => {
             out.push_str("G ");
@@ -315,17 +245,13 @@ fn put_refutation(out: &mut String, r: &ArithRefutation) {
 }
 
 fn put_proof(out: &mut String, p: &UnsatProof) {
-    put_usize(out, p.cubes.len());
-    for cube in &p.cubes {
-        out.push(' ');
-        match cube {
-            CubeProof::BoolConflict => out.push('B'),
-            CubeProof::Arith(r) => {
-                out.push_str("A ");
-                put_refutation(out, r);
-            }
+    put_list(out, &p.cubes, |out, cube| match cube {
+        CubeProof::BoolConflict => out.push('B'),
+        CubeProof::Arith(r) => {
+            out.push_str("A ");
+            put_refutation(out, r);
         }
-    }
+    });
 }
 
 fn put_argreq(out: &mut String, a: &ArgReq) {
@@ -336,15 +262,9 @@ fn put_argreq(out: &mut String, a: &ArgReq) {
         }
         ArgReq::Fn(arrows) => {
             out.push_str("f ");
-            put_usize(out, arrows.len());
-            for arrow in arrows {
-                out.push(' ');
-                put_usize(out, arrow.0.len());
-                for req in &arrow.0 {
-                    out.push(' ');
-                    put_argreq(out, req);
-                }
-            }
+            put_list(out, arrows, |out, arrow| {
+                put_list(out, &arrow.0, put_argreq)
+            });
         }
     }
 }
@@ -354,21 +274,15 @@ fn put_argreq(out: &mut String, a: &ArgReq) {
 /// rand sites, `G` typings, `B` base-flow facts, `Q` proofs, `X` unproved
 /// count) or the Unsafe records (`W` witness, `L` labels).
 fn encode_evidence(e: &Evidence) -> Vec<String> {
-    let mut out = Vec::new();
-    {
-        let mut s = String::from("H ");
-        put_str(&mut s, &e.program);
-        s.push(' ');
-        put_u64(&mut s, e.source_hash);
-        s.push(' ');
-        put_u64(&mut s, e.iterations);
-        s.push(' ');
-        s.push(match e.verdict {
-            EvidenceVerdict::Safe(_) => 'S',
-            EvidenceVerdict::Unsafe { .. } => 'U',
-        });
-        out.push(s);
-    }
+    let mut s = String::from("H ");
+    put_str(&mut s, &e.program);
+    let tag = if matches!(e.verdict, EvidenceVerdict::Safe(_)) {
+        'S'
+    } else {
+        'U'
+    };
+    s.push_str(&format!(" {} {} {tag}", e.source_hash, e.iterations));
+    let mut out = vec![s];
     for p in &e.provenance {
         let mut s = String::from("P ");
         put_u64(&mut s, p.iteration);
@@ -384,43 +298,14 @@ fn encode_evidence(e: &Evidence) -> Vec<String> {
     }
     match &e.verdict {
         EvidenceVerdict::Safe(safe) => {
-            for (f, scheme) in &safe.env.schemes {
-                let mut s = String::from("E ");
-                put_funname(&mut s, f);
-                s.push(' ');
-                put_usize(&mut s, scheme.len());
-                for (x, t) in scheme {
-                    s.push(' ');
-                    put_var(&mut s, x);
-                    s.push(' ');
-                    put_absty(&mut s, t);
-                }
-                out.push(s);
-            }
-            for (x, preds) in &safe.env.rand_sites {
-                let mut s = String::from("R ");
-                put_var(&mut s, x);
-                s.push(' ');
-                put_usize(&mut s, preds.len());
-                for p in preds {
-                    s.push(' ');
-                    put_predicate(&mut s, p);
-                }
-                out.push(s);
-            }
+            encode_env(&safe.env, &mut out);
             for (f, typings) in &safe.gamma {
                 let mut s = String::from("G ");
                 put_funname(&mut s, f);
                 s.push(' ');
-                put_usize(&mut s, typings.len());
-                for typing in typings {
-                    s.push(' ');
-                    put_usize(&mut s, typing.len());
-                    for req in typing {
-                        s.push(' ');
-                        put_argreq(&mut s, req);
-                    }
-                }
+                put_list(&mut s, typings, |out, typing| {
+                    put_list(out, typing, put_argreq)
+                });
                 out.push(s);
             }
             for ((f, idx), seen) in &safe.base_flow {
@@ -429,11 +314,7 @@ fn encode_evidence(e: &Evidence) -> Vec<String> {
                 s.push(' ');
                 put_usize(&mut s, *idx);
                 s.push(' ');
-                put_usize(&mut s, seen.len());
-                for bits in seen {
-                    s.push(' ');
-                    put_u64(&mut s, *bits);
-                }
+                put_list(&mut s, seen, |out, bits| put_u64(out, *bits));
                 out.push(s);
             }
             for (f, proof) in &safe.proofs {
@@ -443,45 +324,24 @@ fn encode_evidence(e: &Evidence) -> Vec<String> {
                 put_proof(&mut s, proof);
                 out.push(s);
             }
-            {
-                let mut s = String::from("X ");
-                put_u64(&mut s, safe.unproved);
-                out.push(s);
-            }
+            out.push(format!("X {}", safe.unproved));
         }
         EvidenceVerdict::Unsafe { witness, path } => {
-            {
-                let mut s = String::from("W ");
-                put_usize(&mut s, witness.len());
-                for w in witness {
-                    s.push(' ');
-                    s.push_str(&w.to_string());
-                }
-                out.push(s);
-            }
-            {
-                let mut s = String::from("L ");
-                put_usize(&mut s, path.len());
-                for l in path {
-                    s.push(' ');
-                    s.push(match l {
-                        Label::Zero => '0',
-                        Label::One => '1',
-                    });
-                }
-                out.push(s);
-            }
+            let mut s = String::from("W ");
+            put_list(&mut s, witness, |out, w| out.push_str(&w.to_string()));
+            out.push(s);
+            let mut s = String::from("L ");
+            put_list(&mut s, path, |out, l| {
+                out.push(if *l == Label::Zero { '0' } else { '1' });
+            });
+            out.push(s);
         }
     }
     out
 }
 
 fn render(e: &Evidence) -> String {
-    let mut text = format!("{EVIDENCE_MAGIC} v{EVIDENCE_VERSION}\n");
-    for payload in encode_evidence(e) {
-        text.push_str(&frame_line(&payload));
-    }
-    text
+    POLICY.compose(encode_evidence(e))
 }
 
 // ---------------------------------------------------------------- decoding
@@ -510,14 +370,11 @@ fn get_refutation(c: &mut Cur<'_>, depth: u32) -> Result<ArithRefutation, CodecE
     match c.tok()? {
         "F" => {
             c.sep()?;
-            let n = c.count()?;
-            let mut cert = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
+            let cert = c.list(|c| {
                 let i = c.count()?;
                 c.sep()?;
-                cert.push((i, get_rat(c)?));
-            }
+                Ok((i, get_rat(c)?))
+            })?;
             Ok(ArithRefutation::Farkas(cert))
         }
         "G" => {
@@ -545,19 +402,14 @@ fn get_refutation(c: &mut Cur<'_>, depth: u32) -> Result<ArithRefutation, CodecE
 }
 
 fn get_proof(c: &mut Cur<'_>) -> Result<UnsatProof, CodecError> {
-    let n = c.count()?;
-    let mut cubes = Vec::new();
-    for _ in 0..n {
-        c.sep()?;
-        match c.tok()? {
-            "B" => cubes.push(CubeProof::BoolConflict),
-            "A" => {
-                c.sep()?;
-                cubes.push(CubeProof::Arith(get_refutation(c, 0)?));
-            }
-            t => return Err(c.err(format!("bad cube-proof tag {t:?}"))),
+    let cubes = c.list(|c| match c.tok()? {
+        "B" => Ok(CubeProof::BoolConflict),
+        "A" => {
+            c.sep()?;
+            Ok(CubeProof::Arith(get_refutation(c, 0)?))
         }
-    }
+        t => Err(c.err(format!("bad cube-proof tag {t:?}"))),
+    })?;
     Ok(UnsatProof { cubes })
 }
 
@@ -569,19 +421,8 @@ fn get_argreq(c: &mut Cur<'_>) -> Result<ArgReq, CodecError> {
         }
         "f" => {
             c.sep()?;
-            let n = c.count()?;
-            let mut arrows = BTreeSet::new();
-            for _ in 0..n {
-                c.sep()?;
-                let k = c.count()?;
-                let mut reqs = Vec::new();
-                for _ in 0..k {
-                    c.sep()?;
-                    reqs.push(get_argreq(c)?);
-                }
-                arrows.insert(ArrowTy(reqs));
-            }
-            Ok(ArgReq::Fn(arrows))
+            let arrows = c.list(|c| Ok(ArrowTy(c.list(get_argreq)?)))?;
+            Ok(ArgReq::Fn(arrows.into_iter().collect()))
         }
         t => Err(c.err(format!("bad argument-requirement tag {t:?}"))),
     }
@@ -643,59 +484,17 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
                 pred,
             });
         }
-        "E" => {
-            c.sep()?;
-            let f = get_funname(&mut c)?;
-            c.sep()?;
-            let n = c.count()?;
-            let mut scheme = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                let x = c.var()?;
-                c.sep()?;
-                scheme.push((x, get_absty(&mut c)?));
-            }
-            c.end()?;
-            if partial.safe.env.schemes.insert(f, scheme).is_some() {
-                return Err(c.err("duplicate scheme record"));
-            }
-        }
-        "R" => {
-            c.sep()?;
-            let x = c.var()?;
-            c.sep()?;
-            let n = c.count()?;
-            let mut preds = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                preds.push(get_predicate(&mut c)?);
-            }
-            c.end()?;
-            if partial.safe.env.rand_sites.insert(x, preds).is_some() {
-                return Err(c.err("duplicate rand-site record"));
-            }
-        }
+        tag @ ("E" | "R") => decode_env(tag, &mut c, &mut partial.safe.env)?,
         "G" => {
             c.sep()?;
             let f = get_funname(&mut c)?;
             c.sep()?;
-            let n = c.count()?;
-            let mut typings = BTreeSet::new();
-            for _ in 0..n {
-                c.sep()?;
-                let k = c.count()?;
-                let mut typing = Vec::new();
-                for _ in 0..k {
-                    c.sep()?;
-                    typing.push(get_argreq(&mut c)?);
-                }
-                typings.insert(typing);
-            }
+            let typings = c.list(|c| c.list(get_argreq))?;
             c.end()?;
             if !partial.gamma_seen.insert(f.clone()) {
                 return Err(c.err("duplicate typing record"));
             }
-            partial.safe.gamma.push((f, typings));
+            partial.safe.gamma.push((f, typings.into_iter().collect()));
         }
         "B" => {
             c.sep()?;
@@ -703,13 +502,9 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
             c.sep()?;
             let idx = c.count()?;
             c.sep()?;
-            let n = c.count()?;
-            let mut seen = BTreeSet::new();
-            for _ in 0..n {
-                c.sep()?;
-                seen.insert(get_u64(&mut c)?);
-            }
+            let seen = c.list(get_u64)?;
             c.end()?;
+            let seen = seen.into_iter().collect();
             if partial.safe.base_flow.insert((f, idx), seen).is_some() {
                 return Err(c.err("duplicate base-flow record"));
             }
@@ -732,13 +527,10 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
         }
         "W" => {
             c.sep()?;
-            let n = c.count()?;
-            let mut witness = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
+            let witness = c.list(|c| {
                 let w = c.int()?;
-                witness.push(i64::try_from(w).map_err(|_| c.err("witness out of range"))?);
-            }
+                i64::try_from(w).map_err(|_| c.err("witness out of range"))
+            })?;
             c.end()?;
             if partial.witness.replace(witness).is_some() {
                 return Err(c.err("duplicate witness record"));
@@ -746,16 +538,11 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
         }
         "L" => {
             c.sep()?;
-            let n = c.count()?;
-            let mut path = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                path.push(match c.tok()? {
-                    "0" => Label::Zero,
-                    "1" => Label::One,
-                    t => return Err(c.err(format!("bad label {t:?}"))),
-                });
-            }
+            let path = c.list(|c| match c.tok()? {
+                "0" => Ok(Label::Zero),
+                "1" => Ok(Label::One),
+                t => Err(c.err(format!("bad label {t:?}"))),
+            })?;
             c.end()?;
             if partial.path.replace(path).is_some() {
                 return Err(c.err("duplicate label-path record"));
@@ -766,86 +553,60 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
     Ok(())
 }
 
-fn parse_evidence(bytes: &[u8]) -> ParseOutcome {
-    let Some(header_end) = bytes.iter().position(|&b| b == b'\n') else {
-        return ParseOutcome::Corrupt;
-    };
-    let Ok(header) = std::str::from_utf8(&bytes[..header_end]) else {
-        return ParseOutcome::Corrupt;
-    };
-    let Some(version) = header
-        .strip_prefix(EVIDENCE_MAGIC)
-        .and_then(|r| r.strip_prefix(" v"))
-    else {
-        return ParseOutcome::Corrupt;
-    };
-    match version.parse::<u32>() {
-        Ok(v) if v == EVIDENCE_VERSION => {}
-        Ok(_) => return ParseOutcome::Stale,
-        Err(_) => return ParseOutcome::Corrupt,
+impl Assemble for Partial {
+    type Out = Evidence;
+
+    fn add(&mut self, payload: &str) -> Result<(), CodecError> {
+        decode_into(payload, self)
     }
-    let mut partial = Partial::default();
-    let mut pos = header_end + 1;
-    while pos < bytes.len() {
-        let Some(frame) = parse_frame(&bytes[pos..]) else {
-            return ParseOutcome::Corrupt;
+
+    /// Structural validation: the record set must match the verdict tag
+    /// exactly — Safe carries its unproved count and no counterexample,
+    /// Unsafe carries witness + path and no invariant pieces.
+    fn finish(self) -> Option<Evidence> {
+        let (program, source_hash, iterations, tag) = self.header?;
+        let has_safe_records = !self.safe.env.schemes.is_empty()
+            || !self.safe.env.rand_sites.is_empty()
+            || !self.safe.gamma.is_empty()
+            || !self.safe.base_flow.is_empty()
+            || !self.safe.proofs.is_empty()
+            || self.unproved.is_some();
+        let verdict = match tag {
+            'S' => {
+                if self.witness.is_some() || self.path.is_some() {
+                    return None;
+                }
+                let mut safe = self.safe;
+                safe.unproved = self.unproved?;
+                EvidenceVerdict::Safe(Box::new(safe))
+            }
+            'U' => {
+                if has_safe_records {
+                    return None;
+                }
+                EvidenceVerdict::Unsafe {
+                    witness: self.witness?,
+                    path: self.path?,
+                }
+            }
+            _ => return None,
         };
-        pos += frame.consumed;
-        if stable_hash64(frame.payload) != frame.sum {
-            return ParseOutcome::Corrupt;
-        }
-        if decode_into(frame.payload, &mut partial).is_err() {
-            return ParseOutcome::Corrupt;
-        }
+        Some(Evidence {
+            program,
+            source_hash,
+            iterations,
+            provenance: self.provenance,
+            verdict,
+        })
     }
-    // Structural validation: the record set must match the verdict tag
-    // exactly — Safe carries its unproved count and no counterexample,
-    // Unsafe carries witness + path and no invariant pieces.
-    let Some((program, source_hash, iterations, tag)) = partial.header else {
-        return ParseOutcome::Corrupt;
-    };
-    let has_safe_records = !partial.safe.env.schemes.is_empty()
-        || !partial.safe.env.rand_sites.is_empty()
-        || !partial.safe.gamma.is_empty()
-        || !partial.safe.base_flow.is_empty()
-        || !partial.safe.proofs.is_empty()
-        || partial.unproved.is_some();
-    let verdict = match tag {
-        'S' => {
-            if partial.witness.is_some() || partial.path.is_some() {
-                return ParseOutcome::Corrupt;
-            }
-            let Some(unproved) = partial.unproved else {
-                return ParseOutcome::Corrupt;
-            };
-            let mut safe = partial.safe;
-            safe.unproved = unproved;
-            EvidenceVerdict::Safe(Box::new(safe))
-        }
-        'U' => {
-            if has_safe_records {
-                return ParseOutcome::Corrupt;
-            }
-            let (Some(witness), Some(path)) = (partial.witness, partial.path) else {
-                return ParseOutcome::Corrupt;
-            };
-            EvidenceVerdict::Unsafe { witness, path }
-        }
-        _ => return ParseOutcome::Corrupt,
-    };
-    ParseOutcome::Good(Box::new(Evidence {
-        program,
-        source_hash,
-        iterations,
-        provenance: partial.provenance,
-        verdict,
-    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::parse_frame;
     use homc_smt::{Atom, LinExpr, Var};
+    use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(

@@ -12,17 +12,19 @@
 //!   [`JobResult`] — a failed or hung job degrades to a report entry, never
 //!   a process abort.
 //! * **A versioned disk tier for the query cache** ([`mod@disk`]):
-//!   append-only segment files with per-record length+FNV-1a-checksum
-//!   framing, atomic tmp-file+rename publication, a schema/version header
-//!   that cold-starts cleanly on mismatch, and a corruption-quarantine path.
-//!   Records carry **full canonical keys** ([`mod@codec`]), so a byte flip
-//!   can cost a cache hit but can never change a verdict.
+//!   append-only segment files that cold-start cleanly on a version
+//!   mismatch. Records carry **full canonical keys** ([`mod@codec`]), so a
+//!   byte flip can cost a cache hit but can never change a verdict.
 //! * **A persistent run ledger with trend analytics** ([`mod@ledger`],
 //!   [`mod@trend`]): every suite/batch/bench run appends one checksummed
-//!   JSONL run file (same frame format as the disk tier, same quarantine
-//!   discipline — but stale versions are kept, history is not rebuildable),
-//!   and `homc history`/`homc regress` read the accumulated records for
-//!   per-program trends and a trailing-window regression gate.
+//!   JSONL run file, and `homc history`/`homc regress` read the accumulated
+//!   records for per-program trends and a trailing-window regression gate.
+//!
+//! The cache, the ledger, the abstraction artifacts ([`mod@artifact`]) and
+//! the evidence certificates ([`mod@evidence`]) are all files of one
+//! store: a magic+version header, per-record length+FNV-1a-checksum
+//! framing, quarantine of damaged files, and race-free atomic publication
+//! with directory fsync. Each store only picks its failure policy.
 //!
 //! Deterministic fault injection covers the new failure surfaces: torn
 //! writes, truncated segments, checksum flips ([`DiskFault`]), job-thread
@@ -38,6 +40,7 @@ pub mod disk;
 pub mod evidence;
 pub mod ledger;
 pub mod pool;
+mod store;
 pub mod trend;
 
 pub use artifact::{Artifact, ArtifactLoad, ArtifactStore, ARTIFACT_MAGIC, ARTIFACT_VERSION};

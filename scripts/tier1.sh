@@ -101,6 +101,38 @@ if ! cmp -s <(verdicts "$BATCH_COLD") <(verdicts "$BATCH_DRILL"); then
     diff <(verdicts "$BATCH_COLD") <(verdicts "$BATCH_DRILL") >&2 || true
     exit 1
 fi
+# Concurrent publishers: two cold batch processes started at once on one
+# fresh cache directory must each claim their own segment — neither may
+# overwrite the other or leave a torn file — so the warm rerun loads both
+# segments cleanly and answers from them.
+SHARED_CACHE=target/batch-shared-cache
+SHARED_WARM=target/batch-shared-warm.txt
+HOMC_BIN="${CARGO_TARGET_DIR:-target}/release/homc"
+rm -rf "$SHARED_CACHE"
+echo "==> two concurrent homc batch --cache-dir $SHARED_CACHE"
+timeout --signal=KILL "$STAGE_CAP" "$HOMC_BIN" batch --workers 2 \
+    --cache-dir "$SHARED_CACHE" "${BATCH_PROGRAMS[@]}" >/dev/null &
+SHARED_A=$!
+timeout --signal=KILL "$STAGE_CAP" "$HOMC_BIN" batch --workers 2 \
+    --cache-dir "$SHARED_CACHE" "${BATCH_PROGRAMS[@]}" >/dev/null &
+SHARED_B=$!
+for pid in "$SHARED_A" "$SHARED_B"; do
+    if ! wait "$pid"; then
+        echo "tier1: batch-smoke: a concurrent batch run failed" >&2
+        exit 1
+    fi
+done
+run "$HOMC_BIN" batch --workers 4 --cache-dir "$SHARED_CACHE" "${BATCH_PROGRAMS[@]}" \
+    | tee "$SHARED_WARM"
+if ! grep -q 'from 2 segments (0 bad, 0 quarantined, ' "$SHARED_WARM"; then
+    echo "tier1: batch-smoke: concurrent publishers did not leave 2 clean segments" >&2
+    exit 1
+fi
+SHARED_HITS=$(sed -n 's/.*disk hits \([0-9]*\).*/\1/p' "$SHARED_WARM")
+if [ "${SHARED_HITS:-0}" -eq 0 ]; then
+    echo "tier1: batch-smoke: warm rerun on the shared cache reported no disk hits" >&2
+    exit 1
+fi
 
 # Incremental-abstraction smoke: on a multi-iteration program the
 # transition memo must actually fire — iterations after the first reuse
