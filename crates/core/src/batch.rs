@@ -1,9 +1,10 @@
 //! Batch verification: many programs through the `homc-serve` job pool.
 //!
 //! Each job runs under its own budget scope (deadline, fuel, cooperative
-//! [`CancelToken`]) against a **private** query cache seeded from the shared
-//! disk tier, so one job's failure — panic, exhaustion, hang — can neither
-//! poison another job's state nor abort the batch. The pool retries a job
+//! [`CancelToken`]) against a **private** query cache that reads the shared,
+//! immutable disk tier after a private miss, so one job's failure — panic,
+//! exhaustion, hang — can neither poison another job's state nor abort the
+//! batch. The pool retries a job
 //! once (with backoff) when it ends in *retryable* exhaustion; a job that
 //! still cannot settle degrades to a structured `Unknown` entry in the
 //! report. After the fleet drains, the union of every job's freshly solved
@@ -22,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use homc_serve::{
-    run_jobs, seed_cache, Attempt, DiskCache, DiskFault, Job, JobOutcome, LoadReport, PoolConfig,
+    run_jobs, Attempt, DiskCache, DiskFault, Job, JobOutcome, LoadReport, PoolConfig,
     PublishReport, RetryPolicy,
 };
 use homc_smt::{CancelToken, QueryCache};
@@ -212,7 +213,7 @@ pub struct BatchReport {
     pub load: Option<LoadReport>,
     /// Disk-tier publish summary, when a new segment was written.
     pub publish: Option<PublishReport>,
-    /// Total lookups answered from disk-seeded entries, across all jobs.
+    /// Disk-tier keys hit, counted once per job and key, across all jobs.
     pub disk_hits: u64,
 }
 
@@ -285,12 +286,21 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
         }
         d
     });
-    let (records, load) = match &disk {
+    // One immutable tier for the whole batch, shared by every cache below;
+    // the loaded records are moved into it, not copied.
+    let (tier, load) = match &disk {
         Some(d) => {
-            let (r, rep) = d.load()?;
-            (Arc::new(r), Some(rep))
+            let (tier, rep) = d.load_tier()?;
+            ((!tier.is_empty()).then(|| Arc::new(tier)), Some(rep))
         }
-        None => (Arc::new(Vec::new()), None),
+        None => (None, None),
+    };
+    let new_cache = || {
+        let cache = QueryCache::new();
+        if let Some(t) = &tier {
+            cache.attach_tier(t.clone());
+        }
+        cache
     };
 
     // Per-job private caches, kept out here so the new entries can be
@@ -299,8 +309,7 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
     let mut pool_jobs: Vec<Job<Settled>> = Vec::with_capacity(jobs.len());
     for (i, job) in jobs.iter().enumerate() {
         let cancel = CancelToken::new();
-        let cache = Arc::new(QueryCache::new());
-        seed_cache(&cache, &records);
+        let cache = Arc::new(new_cache());
         caches.push(cache.clone());
 
         let fault = opts.job_faults.iter().find(|f| f.job == i).map(|f| f.kind);
@@ -515,11 +524,10 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
     progress.flush();
 
     // Publish the union of every job's freshly solved queries as one new
-    // segment. Seeding the union cache with the original disk records marks
-    // them as already-persisted, so only genuinely new entries are written.
+    // segment. The union reads the same tier, so an entry already on disk
+    // is never written again.
     if let Some(d) = &disk {
-        let union = QueryCache::new();
-        seed_cache(&union, &records);
+        let union = new_cache();
         for cache in &caches {
             for (k, v) in cache.export_new_check() {
                 union.store_check(k, v);

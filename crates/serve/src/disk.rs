@@ -11,13 +11,18 @@
 //! A bad record is skipped and its segment quarantined after the scan; a
 //! segment of another version is reclaimed (the cache is rebuildable).
 //! Each rejection bumps [`Counter::DiskQuarantine`].
+//!
+//! A load becomes one immutable [`QueryTier`]
+//! ([`DiskCache::load_tier`]), which every cache of a run reads by `Arc`
+//! after a miss in its private tables; no cache copies it.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::Arc;
 
 use homc_metrics::{Counter, Metrics};
-use homc_smt::QueryCache;
+use homc_smt::{QueryCache, QueryTier};
 
 use crate::codec::{decode_record, encode_check, encode_cube, Record};
 use crate::store::{checksum_offset, Policy, Store};
@@ -138,24 +143,31 @@ impl DiskCache {
         self.store.dir()
     }
 
-    /// Reads every valid record of every valid segment. Never fails on file
-    /// *content* — only on directory I/O errors; unreadable or corrupt
-    /// segments are quarantined and counted. The records can seed any number
-    /// of per-job caches via [`seed_cache`].
+    /// Reads every valid record of every valid segment, in segment order.
+    /// Never fails on file *content* — only on directory I/O errors;
+    /// unreadable or corrupt segments are quarantined and counted.
     pub fn load(&self) -> io::Result<(Vec<Record>, LoadReport)> {
         self.store.load_all(decode_record)
     }
 
-    /// [`load`](Self::load) + [`seed_cache`] in one call, for single-cache
-    /// users.
-    pub fn load_into(&self, cache: &QueryCache) -> io::Result<LoadReport> {
+    /// [`load`](Self::load), with the records moved into one [`QueryTier`]
+    /// that any number of caches can share by `Arc`. A key loaded twice
+    /// keeps its later record.
+    pub fn load_tier(&self) -> io::Result<(QueryTier, LoadReport)> {
         let (records, report) = self.load()?;
-        seed_cache(cache, &records);
+        Ok((build_tier(records), report))
+    }
+
+    /// [`load_tier`](Self::load_tier), attached to `cache` unless empty,
+    /// for single-cache users.
+    pub fn load_into(&self, cache: &QueryCache) -> io::Result<LoadReport> {
+        let (tier, report) = self.load_tier()?;
+        attach_nonempty(cache, tier);
         Ok(report)
     }
 
-    /// Publishes every entry the run discovered (seeded entries excluded) as
-    /// one new segment. Returns `None` when there is nothing new to write.
+    /// Publishes every entry the run discovered (keys of its tier excluded)
+    /// as one new segment. Returns `None` when there is nothing new to write.
     pub fn publish(&self, cache: &QueryCache) -> io::Result<Option<PublishReport>> {
         let mut payloads: Vec<String> = cache
             .export_new_check()
@@ -207,15 +219,34 @@ impl DiskCache {
     }
 }
 
-/// Replays loaded disk records into a cache via the seeded stores, so they
-/// count as disk hits on lookup and are excluded from the next publish.
-pub fn seed_cache(cache: &QueryCache, records: &[Record]) {
+/// Builds a tier from loaded records; a later record of a key wins.
+fn build_tier(records: impl IntoIterator<Item = Record>) -> QueryTier {
+    let mut tier = QueryTier::new();
     for r in records {
         match r {
-            Record::Check { key, value } => cache.store_check_seeded(key.clone(), value.clone()),
-            Record::Cube { key, value } => cache.store_cube_seeded(key.clone(), *value),
+            Record::Check { key, value } => tier.insert_check(key, value),
+            Record::Cube { key, value } => tier.insert_cube(key, value),
         }
     }
+    tier
+}
+
+fn attach_nonempty(cache: &QueryCache, tier: QueryTier) {
+    if !tier.is_empty() {
+        cache.attach_tier(Arc::new(tier));
+    }
+}
+
+/// Attaches loaded disk records to a cache as its tier (nothing when there
+/// are none): their first hit in this cache counts as a disk hit, and they
+/// are excluded from the next publish. To share one tier among many caches,
+/// build it once with [`DiskCache::load_tier`] instead.
+///
+/// # Panics
+///
+/// If `cache` already has a tier.
+pub fn seed_cache(cache: &QueryCache, records: &[Record]) {
+    attach_nonempty(cache, build_tier(records.iter().cloned()));
 }
 
 #[cfg(test)]
@@ -264,7 +295,7 @@ mod tests {
             Some(CachedSat::Unknown)
         ));
         assert_eq!(fresh.stats().disk_hits, 1);
-        // Replayed entries are seeded: republication has nothing new.
+        // Loaded entries are the tier: republication has nothing new.
         assert!(disk.publish(&fresh).unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -30,13 +30,17 @@
 //! The cache is interior-mutable (`Mutex` + atomics) so one `Arc<QueryCache>`
 //! can be shared by every solver of a run, including the per-worker solvers
 //! of parallel predicate abstraction and the per-component workers of
-//! parallel cut interpolation. Budget preemptions
+//! parallel cut interpolation. Behind the private `check` and `cube` tables
+//! a cache may consult one read-only [`QueryTier`] — the persistent disk
+//! tier, built once and shared by `Arc` across every cache of a batch.
+//! Budget preemptions
 //! ([`SatResult::Exhausted`](crate::SatResult::Exhausted)) are never cached:
 //! a result that depends on the clock must not masquerade as a semantic one.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::fm::FarkasCert;
 use crate::formula::{Formula, Literal};
@@ -106,8 +110,10 @@ pub struct CacheStats {
     pub rat_hits: u64,
     /// `rat`-table misses.
     pub rat_misses: u64,
-    /// Hits on entries *seeded* from the persistent disk tier (a subset of
-    /// the per-table hits above — every disk hit is also a table hit).
+    /// Keys answered from the persistent disk tier — the attached
+    /// [`QueryTier`] or seeded interpolants — counted once per key (a
+    /// subset of the per-table hits above: every disk hit is also a table
+    /// hit).
     pub disk_hits: u64,
 }
 
@@ -150,22 +156,66 @@ impl CacheStats {
 /// Key of the interpolant table: both cubes sorted, plus the split depth.
 pub type InterpKey = (Vec<Literal>, Vec<Literal>, u32);
 
+/// Key of the `check` table: canonical formula plus branch & bound depth.
+pub type CheckKey = (Formula, u32);
+
+/// Key of the `cube` table: sorted atom list plus split depth.
+pub type CubeKey = (Vec<Atom>, u32);
+
+/// An immutable `check` + `cube` table: the persistent disk tier as one
+/// in-memory value.
+///
+/// A tier is filled once, then frozen behind an `Arc` and attached to any
+/// number of [`QueryCache`]s ([`attach_tier`](QueryCache::attach_tier)).
+/// It needs no lock because nothing writes to it after it is shared, and
+/// no cache copies its entries, so attaching costs the same for a tier of
+/// ten records as for one of ten thousand.
+#[derive(Debug, Default)]
+pub struct QueryTier {
+    check: HashMap<CheckKey, CachedSat>,
+    cubes: HashMap<CubeKey, CubeSat>,
+}
+
+impl QueryTier {
+    /// An empty tier.
+    pub fn new() -> QueryTier {
+        QueryTier::default()
+    }
+
+    /// Adds a `check` entry; a later insert of the same key wins.
+    pub fn insert_check(&mut self, key: CheckKey, value: CachedSat) {
+        self.check.insert(key, value);
+    }
+
+    /// Adds a `cube` entry; a later insert of the same key wins.
+    pub fn insert_cube(&mut self, key: CubeKey, value: CubeSat) {
+        self.cubes.insert(key, value);
+    }
+
+    /// Whether the tier holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.check.is_empty() && self.cubes.is_empty()
+    }
+}
+
 /// The shared query cache. See the module docs for the design.
 ///
-/// # Disk seeding
+/// # The disk tier
 ///
-/// The serving layer's persistent tier pre-warms a fresh cache by replaying
-/// validated disk records through [`store_check_seeded`](Self::store_check_seeded)
-/// / [`store_cube_seeded`](Self::store_cube_seeded) /
-/// [`store_interp_seeded`](Self::store_interp_seeded). Seeded keys are
-/// tracked so that (a) the *first* hit on each counts in `disk_hits` — one
-/// segment read per record; repeat hits are served by the in-memory table
-/// and count only as ordinary table hits — and (b)
+/// The serving layer's persistent tier reaches a cache in two ways. The
+/// `check` and `cube` tables read an attached [`QueryTier`]
+/// ([`attach_tier`](Self::attach_tier)) after a miss in the private table;
+/// the `interp` table, whose artifact entries are per program and few, is
+/// seeded by copy through [`store_interp_seeded`](Self::store_interp_seeded).
+/// Either way, (a) the *first* hit of this cache on a disk key counts in
+/// `disk_hits` — one segment read per record; repeat hits count only as
+/// ordinary table hits — and (b)
 /// [`export_new_check`](Self::export_new_check) /
 /// [`export_new_cubes`](Self::export_new_cubes) /
 /// [`export_new_interp`](Self::export_new_interp) return only entries this
-/// run discovered — segment publication stays append-only and never rewrites
-/// records already on disk.
+/// run discovered, so publication stays append-only and never rewrites
+/// records already on disk. The set of credited tier keys grows with hits,
+/// never with the tier's size.
 ///
 /// # The checkpoint-before-lookup invariant
 ///
@@ -179,17 +229,17 @@ pub type InterpKey = (Vec<Literal>, Vec<Literal>, u32);
 /// checkpoint keeps the guard dormant.
 #[derive(Debug, Default)]
 pub struct QueryCache {
-    check: Mutex<HashMap<(Formula, u32), CachedSat>>,
-    cubes: Mutex<HashMap<(Vec<Atom>, u32), CubeSat>>,
+    check: Mutex<HashMap<CheckKey, CachedSat>>,
+    cubes: Mutex<HashMap<CubeKey, CubeSat>>,
     interp: Mutex<HashMap<InterpKey, Option<Formula>>>,
     rat: Mutex<HashMap<Vec<Atom>, CachedRat>>,
-    seeded_check: Mutex<HashSet<(Formula, u32)>>,
-    seeded_cubes: Mutex<HashSet<(Vec<Atom>, u32)>>,
+    tier: OnceLock<Arc<QueryTier>>,
+    // Tier keys this cache has already credited as a disk hit.
+    credited_check: Mutex<HashSet<CheckKey>>,
+    credited_cubes: Mutex<HashSet<CubeKey>>,
     seeded_interp: Mutex<HashSet<InterpKey>>,
-    // Seeded keys whose one-time disk-hit credit is still outstanding. A
-    // key is removed on its first hit; later hits are pure memory hits.
-    uncredited_check: Mutex<HashSet<(Formula, u32)>>,
-    uncredited_cubes: Mutex<HashSet<(Vec<Atom>, u32)>>,
+    // Seeded interpolant keys whose one-time disk-hit credit is still
+    // outstanding. A key is removed on its first hit.
     uncredited_interp: Mutex<HashSet<InterpKey>>,
     check_hits: AtomicU64,
     check_misses: AtomicU64,
@@ -261,91 +311,92 @@ impl QueryCache {
         }
     }
 
-    /// Looks up a full `check` result by canonical formula and depth.
-    pub fn lookup_check(&self, key: &(Formula, u32)) -> Option<CachedSat> {
-        self.guard_check_lookup();
-        let found = self.check.lock().expect("cache poisoned").get(key).cloned();
-        self.count(&self.check_hits, &self.check_misses, found.is_some());
-        if found.is_some() && self.uncredited_check.lock().expect("cache poisoned").remove(key) {
+    /// Attaches the shared disk tier, which the `check` and `cube` tables
+    /// consult after a private miss (see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// If a tier is already attached: a cache holds at most one.
+    pub fn attach_tier(&self, tier: Arc<QueryTier>) {
+        assert!(
+            self.tier.set(tier).is_ok(),
+            "QueryCache: a disk tier is already attached"
+        );
+    }
+
+    /// Looks `key` up in a private table, then in the tier's matching
+    /// table. The first tier hit of each key in this cache counts one
+    /// disk hit.
+    fn lookup_tiered<K: Eq + Hash + Clone, V: Clone>(
+        &self,
+        private: &Mutex<HashMap<K, V>>,
+        tiered: fn(&QueryTier) -> &HashMap<K, V>,
+        credited: &Mutex<HashSet<K>>,
+        key: &K,
+    ) -> Option<V> {
+        if let Some(v) = private.lock().expect("cache poisoned").get(key) {
+            return Some(v.clone());
+        }
+        let found = self.tier.get().and_then(|t| tiered(t).get(key))?.clone();
+        let mut credited = credited.lock().expect("cache poisoned");
+        if !credited.contains(key) {
+            credited.insert(key.clone());
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
         }
-        found
+        Some(found)
     }
 
-    /// Stores a `check` result. The caller must not pass preempted results.
-    pub fn store_check(&self, key: (Formula, u32), value: CachedSat) {
-        self.check.lock().expect("cache poisoned").insert(key, value);
-    }
-
-    /// Stores a `check` result replayed from the persistent disk tier.
-    /// A seeded key's first hit counts in [`CacheStats::disk_hits`] (one
-    /// segment read per record; later hits are in-memory) and the key is
-    /// excluded from [`export_new_check`](Self::export_new_check).
-    pub fn store_check_seeded(&self, key: (Formula, u32), value: CachedSat) {
-        self.seeded_check
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.clone());
-        self.uncredited_check
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.clone());
-        self.check.lock().expect("cache poisoned").insert(key, value);
-    }
-
-    /// The `check`-table entries this run discovered itself (seeded entries
-    /// excluded), for append-only segment publication.
-    pub fn export_new_check(&self) -> Vec<((Formula, u32), CachedSat)> {
-        let seeded = self.seeded_check.lock().expect("cache poisoned");
-        self.check
+    /// The entries of a private table whose key the tier does not hold.
+    fn export_untiered<K: Eq + Hash + Clone, V: Clone>(
+        &self,
+        private: &Mutex<HashMap<K, V>>,
+        tiered: fn(&QueryTier) -> &HashMap<K, V>,
+    ) -> Vec<(K, V)> {
+        let tier = self.tier.get().map(|t| tiered(t));
+        private
             .lock()
             .expect("cache poisoned")
             .iter()
-            .filter(|(k, _)| !seeded.contains(*k))
+            .filter(|(k, _)| !tier.is_some_and(|t| t.contains_key(*k)))
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
 
+    /// Looks up a full `check` result by canonical formula and depth.
+    pub fn lookup_check(&self, key: &CheckKey) -> Option<CachedSat> {
+        self.guard_check_lookup();
+        let found = self.lookup_tiered(&self.check, |t| &t.check, &self.credited_check, key);
+        self.count(&self.check_hits, &self.check_misses, found.is_some());
+        found
+    }
+
+    /// Stores a `check` result. The caller must not pass preempted results.
+    pub fn store_check(&self, key: CheckKey, value: CachedSat) {
+        self.check.lock().expect("cache poisoned").insert(key, value);
+    }
+
+    /// The `check`-table entries this run discovered itself (tier keys
+    /// excluded), for append-only segment publication.
+    pub fn export_new_check(&self) -> Vec<(CheckKey, CachedSat)> {
+        self.export_untiered(&self.check, |t| &t.check)
+    }
+
     /// Looks up a cube consistency tri-state. `atoms` must be sorted.
-    pub fn lookup_cube(&self, key: &(Vec<Atom>, u32)) -> Option<CubeSat> {
-        let found = self.cubes.lock().expect("cache poisoned").get(key).copied();
+    pub fn lookup_cube(&self, key: &CubeKey) -> Option<CubeSat> {
+        let found = self.lookup_tiered(&self.cubes, |t| &t.cubes, &self.credited_cubes, key);
         self.count(&self.cube_hits, &self.cube_misses, found.is_some());
-        if found.is_some() && self.uncredited_cubes.lock().expect("cache poisoned").remove(key) {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        }
         found
     }
 
     /// Stores a cube consistency tri-state.
-    pub fn store_cube(&self, key: (Vec<Atom>, u32), value: CubeSat) {
+    pub fn store_cube(&self, key: CubeKey, value: CubeSat) {
         self.cubes.lock().expect("cache poisoned").insert(key, value);
     }
 
-    /// Stores a cube tri-state replayed from the persistent disk tier (see
-    /// [`store_check_seeded`](Self::store_check_seeded)).
-    pub fn store_cube_seeded(&self, key: (Vec<Atom>, u32), value: CubeSat) {
-        self.seeded_cubes
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.clone());
-        self.uncredited_cubes
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.clone());
-        self.cubes.lock().expect("cache poisoned").insert(key, value);
-    }
-
-    /// The `cube`-table entries this run discovered itself (seeded entries
+    /// The `cube`-table entries this run discovered itself (tier keys
     /// excluded), for append-only segment publication.
-    pub fn export_new_cubes(&self) -> Vec<((Vec<Atom>, u32), CubeSat)> {
-        let seeded = self.seeded_cubes.lock().expect("cache poisoned");
-        self.cubes
-            .lock()
-            .expect("cache poisoned")
-            .iter()
-            .filter(|(k, _)| !seeded.contains(*k))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
+    pub fn export_new_cubes(&self) -> Vec<(CubeKey, CubeSat)> {
+        self.export_untiered(&self.cubes, |t| &t.cubes)
     }
 
     /// Looks up a cube-pair interpolant (`None` inside the `Option` =
@@ -365,9 +416,9 @@ impl QueryCache {
         self.interp.lock().expect("cache poisoned").insert(key, value);
     }
 
-    /// Stores an interpolant replayed from a persistent artifact (see
-    /// [`store_check_seeded`](Self::store_check_seeded) for the seeded-key
-    /// semantics).
+    /// Stores an interpolant replayed from a persistent artifact. The key's
+    /// first hit counts in [`CacheStats::disk_hits`] and the key is
+    /// excluded from [`export_new_interp`](Self::export_new_interp).
     pub fn store_interp_seeded(&self, key: InterpKey, value: Option<Formula>) {
         self.seeded_interp
             .lock()
@@ -443,42 +494,95 @@ mod tests {
         assert_eq!(s.lookups(), 2);
     }
 
+    fn cube_key(var: &str) -> CubeKey {
+        (vec![Atom::le0(LinExpr::var(var))], 24)
+    }
+
+    /// A cache over a one-entry-per-table tier.
+    fn tiered_cache() -> QueryCache {
+        let mut tier = QueryTier::new();
+        tier.insert_check((Formula::True, 48), CachedSat::Unsat);
+        tier.insert_cube(cube_key("x"), CubeSat::Unsat);
+        let c = QueryCache::new();
+        c.attach_tier(Arc::new(tier));
+        c
+    }
+
     #[test]
     fn seeded_hits_count_as_disk_hits() {
-        let c = QueryCache::new();
-        let seeded_key = (Formula::True, 48u32);
+        let c = tiered_cache();
         let own_key = (Formula::False, 48u32);
-        c.store_check_seeded(seeded_key.clone(), CachedSat::Unsat);
         c.store_check(own_key.clone(), CachedSat::Unsat);
-        assert!(c.lookup_check(&seeded_key).is_some());
+        assert!(c.lookup_check(&(Formula::True, 48)).is_some());
         assert!(c.lookup_check(&own_key).is_some());
-        let cube_key = (vec![Atom::le0(LinExpr::var("x"))], 24u32);
-        c.store_cube_seeded(cube_key.clone(), CubeSat::Unsat);
-        assert_eq!(c.lookup_cube(&cube_key), Some(CubeSat::Unsat));
+        assert_eq!(c.lookup_cube(&cube_key("x")), Some(CubeSat::Unsat));
+        assert!(c.lookup_cube(&cube_key("y")).is_none());
         let s = c.stats();
-        assert_eq!(s.disk_hits, 2); // seeded check + seeded cube, not own_key
+        assert_eq!(s.disk_hits, 2); // tier check + tier cube, not own_key
         assert_eq!(s.hits(), 3);
+        assert_eq!(s.misses(), 1);
     }
 
     #[test]
     fn seeded_hits_credit_disk_only_once() {
-        // One segment read per record: repeat hits on a seeded key are
+        // One segment read per record: repeat hits on a tier key are
         // in-memory hits, not disk hits (the warm-bench counter fix).
-        let c = QueryCache::new();
-        let seeded_key = (Formula::True, 48u32);
-        c.store_check_seeded(seeded_key.clone(), CachedSat::Unsat);
+        let c = tiered_cache();
         for _ in 0..5 {
-            assert!(c.lookup_check(&seeded_key).is_some());
-        }
-        let cube_key = (vec![Atom::le0(LinExpr::var("x"))], 24u32);
-        c.store_cube_seeded(cube_key.clone(), CubeSat::Unsat);
-        for _ in 0..5 {
-            assert_eq!(c.lookup_cube(&cube_key), Some(CubeSat::Unsat));
+            assert!(c.lookup_check(&(Formula::True, 48)).is_some());
+            assert_eq!(c.lookup_cube(&cube_key("x")), Some(CubeSat::Unsat));
         }
         let s = c.stats();
         assert_eq!(s.disk_hits, 2);
         assert_eq!(s.check_hits, 5);
         assert_eq!(s.cube_hits, 5);
+    }
+
+    #[test]
+    fn tier_credit_is_per_cache_under_concurrency() {
+        const KEYS: usize = 16;
+        const ROUNDS: usize = 4;
+        let check_key = |i: usize| (Formula::True, i as u32);
+        let mut tier = QueryTier::new();
+        for i in 0..KEYS {
+            tier.insert_check(check_key(i), CachedSat::Unknown);
+            tier.insert_cube(cube_key(&format!("v{i}")), CubeSat::Sat);
+        }
+        let tier = Arc::new(tier);
+        let stats: Vec<CacheStats> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    let tier = tier.clone();
+                    scope.spawn(move || {
+                        let c = QueryCache::new();
+                        c.attach_tier(tier);
+                        for _ in 0..ROUNDS {
+                            for i in 0..KEYS {
+                                assert!(c.lookup_check(&check_key(i)).is_some());
+                                let cube = cube_key(&format!("v{i}"));
+                                assert_eq!(c.lookup_cube(&cube), Some(CubeSat::Sat));
+                            }
+                        }
+                        assert!(c.export_new_check().is_empty());
+                        c.stats()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for s in stats {
+            assert_eq!(s.disk_hits, 2 * KEYS as u64, "one credit per tier key hit");
+            assert_eq!(s.check_hits, (KEYS * ROUNDS) as u64);
+            assert_eq!(s.cube_hits, (KEYS * ROUNDS) as u64);
+            assert_eq!(s.misses(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "already attached")]
+    fn second_tier_is_refused() {
+        let c = tiered_cache();
+        c.attach_tier(Arc::new(QueryTier::new()));
     }
 
     #[test]
@@ -500,19 +604,30 @@ mod tests {
 
     #[test]
     fn export_excludes_seeded_entries() {
-        let c = QueryCache::new();
-        c.store_check_seeded((Formula::True, 48), CachedSat::Unsat);
+        let c = tiered_cache();
         c.store_check((Formula::False, 48), CachedSat::Unknown);
         let new_check = c.export_new_check();
         assert_eq!(new_check.len(), 1);
         assert_eq!(new_check[0].0, (Formula::False, 48));
-        let seeded_cube = (vec![Atom::le0(LinExpr::var("x"))], 24u32);
-        let own_cube = (vec![Atom::le0(LinExpr::var("y"))], 24u32);
-        c.store_cube_seeded(seeded_cube, CubeSat::Sat);
-        c.store_cube(own_cube.clone(), CubeSat::Unsat);
+        c.store_cube(cube_key("y"), CubeSat::Unsat);
         let new_cubes = c.export_new_cubes();
         assert_eq!(new_cubes.len(), 1);
-        assert_eq!(new_cubes[0].0, own_cube);
+        assert_eq!(new_cubes[0].0, cube_key("y"));
+    }
+
+    #[test]
+    fn private_copy_of_a_tier_key_is_never_exported() {
+        let c = tiered_cache();
+        c.store_check((Formula::True, 48), CachedSat::Unknown);
+        c.store_cube(cube_key("x"), CubeSat::Sat);
+        assert!(c.export_new_check().is_empty());
+        assert!(c.export_new_cubes().is_empty());
+        // The private entry still answers first.
+        assert!(matches!(
+            c.lookup_check(&(Formula::True, 48)),
+            Some(CachedSat::Unknown)
+        ));
+        assert_eq!(c.lookup_cube(&cube_key("x")), Some(CubeSat::Sat));
     }
 
     #[test]

@@ -47,7 +47,9 @@ mod proof;
 mod rat;
 mod solver;
 
-pub use cache::{CacheStats, CachedRat, CachedSat, CubeSat, InterpKey, QueryCache};
+pub use cache::{
+    CacheStats, CachedRat, CachedSat, CheckKey, CubeKey, CubeSat, InterpKey, QueryCache, QueryTier,
+};
 pub use fm::{
     check_certificate, int_sat, rational_sat, rational_sat_cached, FarkasCert, IntResult,
     RatResult,

@@ -60,8 +60,9 @@ test -s "$PROFILE_SMOKE"
 
 # Batch smoke: the crash-safe fleet path end to end. A cold `homc batch`
 # run populates the persistent cache; a warm rerun must (a) answer queries
-# from disk (nonzero disk hits) and (b) reproduce the cold run's verdicts
-# exactly. Then a deterministic two-byte payload corruption (dd at a fixed
+# from disk (nonzero disk hits), (b) reproduce the cold run's verdicts
+# exactly, (c) publish nothing, and (d) report the same per-job hits with
+# 1 worker as with 4. Then a deterministic two-byte payload corruption (dd at a fixed
 # offset inside the first record) must be quarantined while the verdicts
 # still hold — a byte flip may cost cache hits, never correctness.
 BATCH_CACHE=target/batch-cache
@@ -83,6 +84,25 @@ fi
 if ! cmp -s <(verdicts "$BATCH_COLD") <(verdicts "$BATCH_WARM"); then
     echo "tier1: batch-smoke: warm rerun flipped a verdict:" >&2
     diff <(verdicts "$BATCH_COLD") <(verdicts "$BATCH_WARM") >&2 || true
+    exit 1
+fi
+if grep -q '^cache publish:' "$BATCH_WARM"; then
+    echo "tier1: batch-smoke: warm rerun published records already on disk" >&2
+    exit 1
+fi
+# Per-job hit counts of a warm rerun must not depend on the worker count.
+# The meta line names the worker count, so it is left out of the compare.
+BATCH_W1=target/batch-warm-w1.json
+BATCH_W4=target/batch-warm-w4.json
+HOMC_BIN="${CARGO_TARGET_DIR:-target}/release/homc"
+for w in 1 4; do
+    echo "==> $HOMC_BIN batch --workers $w --json --logical --cache-dir $BATCH_CACHE"
+    timeout --signal=KILL "$STAGE_CAP" "$HOMC_BIN" batch --workers "$w" --json --logical \
+        --cache-dir "$BATCH_CACHE" "${BATCH_PROGRAMS[@]}" | sed '/"meta"/d' >"target/batch-warm-w$w.json"
+done
+if ! cmp "$BATCH_W1" "$BATCH_W4"; then
+    echo "tier1: batch-smoke: warm --json differs between 1 and 4 workers:" >&2
+    diff "$BATCH_W1" "$BATCH_W4" >&2 || true
     exit 1
 fi
 # Header is `homc-cache v1\n` (14 bytes), a record's payload starts 26
@@ -107,7 +127,6 @@ fi
 # segments cleanly and answers from them.
 SHARED_CACHE=target/batch-shared-cache
 SHARED_WARM=target/batch-shared-warm.txt
-HOMC_BIN="${CARGO_TARGET_DIR:-target}/release/homc"
 rm -rf "$SHARED_CACHE"
 echo "==> two concurrent homc batch --cache-dir $SHARED_CACHE"
 timeout --signal=KILL "$STAGE_CAP" "$HOMC_BIN" batch --workers 2 \
