@@ -199,12 +199,14 @@ pub(crate) fn abstract_task(
     cache: Option<Arc<QueryCache>>,
     tracer: &Tracer,
     metrics: &Metrics,
+    oracle: Option<&SatOracleDyn<'_>>,
     ns: usize,
 ) -> DefResult {
     let started = std::time::Instant::now();
     let mut a = Abstractor::new(program, env, opts, budget, cache, ns)
         .with_tracer(tracer.clone())
         .with_metrics(metrics.clone());
+    a.oracle = oracle;
     if let Some(d) = program.defs.get(ns) {
         let def = a.abstract_def(d)?;
         a.out.push(def);
@@ -282,13 +284,56 @@ pub fn abstract_program_metered(
     tracer: &Tracer,
     metrics: &Metrics,
 ) -> Result<(BProgram, AbsStats), AbsError> {
+    abstract_all(program, env, opts, budget, cache, tracer, metrics, None)
+}
+
+/// Abstraction with every satisfiability query answered by `oracle` instead
+/// of the solver — the evidence layer's record/replay hook.
+///
+/// The run keeps `opts` as given: the oracle is asked exactly where the
+/// solver would be, in either [`EnumMode`] and on any number of threads
+/// (hence `Sync`). Both modes prune a node iff its prefix query is UNSAT,
+/// so the resulting program is the same function of `(program, env,
+/// answers)` that the production pipeline computes, and the set of queries
+/// answered `Unsat` is the same in both. An oracle that answers only
+/// `Unsat` or `Unknown` (one replaying recorded proofs) gives model-guided
+/// enumeration no models to skip queries with; it belongs with
+/// [`EnumMode::Exhaustive`], which asks every node.
+pub fn abstract_program_with_oracle(
+    program: &Program,
+    env: &AbsEnv,
+    opts: &AbsOptions,
+    oracle: &SatOracleDyn<'_>,
+) -> Result<(BProgram, AbsStats), AbsError> {
+    let (tracer, metrics) = (Tracer::disabled(), Metrics::disabled());
+    let oracle = Some(oracle);
+    abstract_all(program, env, opts, None, None, &tracer, &metrics, oracle)
+}
+
+/// The eager fan-out behind [`abstract_program_metered`] and
+/// [`abstract_program_with_oracle`]: every definition task, then the entry
+/// wrapper, stitched in definition order.
+#[allow(clippy::too_many_arguments)]
+fn abstract_all(
+    program: &Program,
+    env: &AbsEnv,
+    opts: &AbsOptions,
+    budget: Option<Arc<Budget>>,
+    cache: Option<Arc<QueryCache>>,
+    tracer: &Tracer,
+    metrics: &Metrics,
+    oracle: Option<&SatOracleDyn<'_>>,
+) -> Result<(BProgram, AbsStats), AbsError> {
     let n = program.defs.len();
     let threads = opts.threads.clamp(1, n.max(1));
     let sequential =
         threads <= 1 || n < 2 || budget.as_deref().is_some_and(Budget::has_faults);
 
     let task = |ns: usize| -> DefResult {
-        abstract_task(program, env, opts, budget.clone(), cache.clone(), tracer, metrics, ns)
+        let (budget, cache) = (budget.clone(), cache.clone());
+        abstract_task(
+            program, env, opts, budget, cache, tracer, metrics, oracle, ns,
+        )
     };
 
     let slots: Vec<DefResult> = if sequential {
@@ -350,49 +395,6 @@ pub fn abstract_program_metered(
     Ok((bp, stats))
 }
 
-/// Abstraction with every satisfiability query answered by `oracle` instead
-/// of the solver — the evidence layer's record/replay hook.
-///
-/// The run is forced sequential and [`EnumMode::Exhaustive`] (whose queries
-/// all route through the oracle; model-guided mode would consult the solver
-/// directly for models). Both modes produce the identical cube set, so the
-/// resulting program is the same function of `(program, env, answers)` that
-/// the production pipeline computes — an oracle answering from recorded
-/// UNSAT proofs reproduces (or over-approximates) the run being checked.
-pub fn abstract_program_with_oracle(
-    program: &Program,
-    env: &AbsEnv,
-    opts: &AbsOptions,
-    oracle: &SatOracleDyn<'_>,
-) -> Result<(BProgram, AbsStats), AbsError> {
-    let opts = AbsOptions {
-        threads: 1,
-        enum_mode: EnumMode::Exhaustive,
-        ..opts.clone()
-    };
-    let mut out = Vec::new();
-    let mut stats = AbsStats::default();
-    for ns in 0..=program.defs.len() {
-        let mut a = Abstractor::new(program, env, &opts, None, None, ns).with_oracle(oracle);
-        if let Some(d) = program.defs.get(ns) {
-            let def = a.abstract_def(d)?;
-            a.out.push(def);
-        } else {
-            let entry = a.build_entry()?;
-            a.out.push(entry);
-        }
-        out.extend(a.out);
-        stats.absorb(&a.stats);
-    }
-    let bp = BProgram {
-        defs: out,
-        main: FunName("__entry".to_string()),
-    };
-    bp.check()
-        .map_err(|e| AbsError::invalid(format!("abstraction produced an ill-formed program: {e}")))?;
-    Ok((bp, stats))
-}
-
 /// One in-scope abstract component: `(variable, component index, meaning)`.
 type CtxPair = (Var, usize, Formula);
 
@@ -434,17 +436,17 @@ struct Abstractor<'a> {
     /// deterministic order, so skips are identical across thread counts and
     /// cache states. Bounded by [`MODEL_POOL_CAP`].
     model_pool: Vec<Model>,
-    /// When set, every [`Abstractor::query_sat`] consults this instead of
-    /// the solver (the evidence layer's record/replay hook). Only meaningful
-    /// under [`EnumMode::Exhaustive`], whose queries all route through
-    /// `query_sat`; see [`abstract_program_with_oracle`].
+    /// When set, every satisfiability query ([`Abstractor::solve`]) asks
+    /// this instead of the solver (the evidence layer's record/replay
+    /// hook); see [`abstract_program_with_oracle`].
     oracle: Option<&'a SatOracleDyn<'a>>,
 }
 
-/// The answer source injected by [`abstract_program_with_oracle`]: `Ok(false)`
-/// means "proved unsatisfiable", `Ok(true)` means "satisfiable or unknown"
-/// (the sound default), `Err` aborts the abstraction.
-pub type SatOracleDyn<'o> = dyn Fn(&Formula) -> Result<bool, AbsError> + 'o;
+/// The answer source injected by [`abstract_program_with_oracle`], asked
+/// in place of the solver: `Unsat` prunes, `Sat` and `Unknown` descend (a
+/// `Sat` model lets model-guided enumeration skip the queries it covers),
+/// and `Exhausted` aborts the abstraction. Worker threads share it.
+pub type SatOracleDyn<'o> = dyn Fn(&Formula) -> SatResult + Sync + 'o;
 
 /// Upper bound on [`Abstractor::model_pool`] (oldest evicted first). Kept
 /// small: hits come almost entirely from the most recent models (adjacent
@@ -485,12 +487,6 @@ impl<'a> Abstractor<'a> {
         }
     }
 
-    /// Routes this task's satisfiability queries to an external oracle.
-    fn with_oracle(mut self, oracle: &'a SatOracleDyn<'a>) -> Abstractor<'a> {
-        self.oracle = Some(oracle);
-        self
-    }
-
     /// Routes this task's SMT queries to the trace sink (each solved
     /// entailment becomes an `smt` event) and its own audit events
     /// (`abs_ctx_trunc`) to the same sink.
@@ -519,13 +515,18 @@ impl<'a> Abstractor<'a> {
     /// surface as `Unknown`, not silently coarsen.
     fn query_sat(&mut self, f: &Formula) -> Result<bool, AbsError> {
         self.stats.sat_queries += 1;
-        if let Some(oracle) = self.oracle {
-            return oracle(f);
-        }
-        match self.solver.check(f) {
+        match self.solve(f) {
             SatResult::Unsat => Ok(false),
             SatResult::Exhausted(e) => Err(AbsError::Exhausted(e)),
             SatResult::Sat(_) | SatResult::Unknown => Ok(true),
+        }
+    }
+
+    /// One satisfiability query, answered by the oracle when one is set.
+    fn solve(&self, f: &Formula) -> SatResult {
+        match self.oracle {
+            Some(oracle) => oracle(f),
+            None => self.solver.check(f),
         }
     }
 
@@ -1368,7 +1369,7 @@ impl<'a> Abstractor<'a> {
                 found.push(meanings.iter().map(|f| m.eval(f)).collect());
             } else {
                 self.stats.sat_queries += 1;
-                match self.solver.check(&q) {
+                match self.solve(&q) {
                     SatResult::Unsat => return Ok(()),
                     SatResult::Exhausted(e) => return Err(AbsError::Exhausted(e)),
                     SatResult::Sat(m) => {

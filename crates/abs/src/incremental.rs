@@ -322,7 +322,8 @@ pub fn abstract_program_incremental(
     }
 
     let task = |ns: usize| -> DefResult {
-        abstract_task(program, env, opts, budget.clone(), cache.clone(), tracer, metrics, ns)
+        let (budget, cache) = (budget.clone(), cache.clone());
+        abstract_task(program, env, opts, budget, cache, tracer, metrics, None, ns)
     };
     let threads = opts.threads.clamp(1, rebuild.len().max(1));
     let sequential = threads <= 1

@@ -4,8 +4,8 @@
 //! *coarsens* the program (more cubes survive pruning), never changes what
 //! the answered queries mean.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 use homc_abs::{
     abstract_program_cached, abstract_program_with_oracle, AbsEnv, AbsOptions, AbsTy, EnumMode,
@@ -13,7 +13,7 @@ use homc_abs::{
 };
 use homc_lang::frontend;
 use homc_lang::types::SimpleTy;
-use homc_smt::{Atom, Formula, LinExpr, SmtSolver, Var};
+use homc_smt::{Atom, Formula, LinExpr, SatResult, SmtSolver, Var};
 
 const PROGRAMS: [&str; 3] = [
     "let f x g = g (x + 1) in
@@ -52,6 +52,21 @@ fn env_for(src: &str) -> (homc_lang::Compiled, AbsEnv) {
     (compiled, env)
 }
 
+/// A recording oracle over `solver`: answers as the solver does and notes
+/// each query answered UNSAT, by canonical formula.
+fn record_into<'a>(
+    solver: &'a SmtSolver,
+    unsat: &'a Mutex<BTreeSet<Formula>>,
+) -> impl Fn(&Formula) -> SatResult + Sync + 'a {
+    move |f: &Formula| {
+        let answer = solver.check(f);
+        if matches!(answer, SatResult::Unsat) {
+            unsat.lock().expect("recorder lock").insert(f.canon());
+        }
+        answer
+    }
+}
+
 #[test]
 fn recorded_unsat_set_replays_byte_identically() {
     for src in PROGRAMS {
@@ -66,31 +81,45 @@ fn recorded_unsat_set_replays_byte_identically() {
 
         // Record pass: a live solver behind the oracle, noting which
         // canonical queries came back UNSAT.
-        let unsat: RefCell<BTreeSet<Formula>> = RefCell::new(BTreeSet::new());
+        let unsat = Mutex::new(BTreeSet::new());
         let solver = SmtSolver::new();
-        let record = |f: &Formula| {
-            let sat = solver.maybe_sat(f);
-            if !sat {
-                unsat.borrow_mut().insert(f.canon());
-            }
-            Ok(sat)
-        };
-        let (recorded, _) = abstract_program_with_oracle(&compiled.cps, &env, &opts, &record)
-            .expect("abstracts");
+        let record = record_into(&solver, &unsat);
+        let (recorded, _) =
+            abstract_program_with_oracle(&compiled.cps, &env, &opts, &record).expect("abstracts");
         assert_eq!(reference.to_string(), recorded.to_string());
 
+        // The production options (model-guided, parallel) record the same
+        // UNSAT set and the same program.
+        let guided_unsat = Mutex::new(BTreeSet::new());
+        let guided = record_into(&solver, &guided_unsat);
+        let guided_opts = AbsOptions {
+            threads: 4,
+            ..AbsOptions::default()
+        };
+        let (guided_bp, _) =
+            abstract_program_with_oracle(&compiled.cps, &env, &guided_opts, &guided)
+                .expect("abstracts");
+        assert_eq!(reference.to_string(), guided_bp.to_string());
+        let unsat: BTreeSet<Formula> = unsat.lock().expect("recorder lock").clone();
+        assert_eq!(unsat, *guided_unsat.lock().expect("recorder lock"));
+
         // Replay pass: answers come from the recorded set alone.
-        let unsat: BTreeSet<Formula> = unsat.borrow().clone();
-        let replay = move |f: &Formula| Ok(!unsat.contains(&f.canon()));
+        let replay = move |f: &Formula| {
+            if unsat.contains(&f.canon()) {
+                SatResult::Unsat
+            } else {
+                SatResult::Unknown
+            }
+        };
         let (replayed, _) =
             abstract_program_with_oracle(&compiled.cps, &env, &opts, &replay).expect("abstracts");
         assert_eq!(reference.to_string(), replayed.to_string());
 
         // Forgetting every UNSAT answer still abstracts (coarser program,
         // never an error) — the sound degradation mode for unproved queries.
-        let all_sat = |_: &Formula| Ok(true);
-        let (coarse, _) =
-            abstract_program_with_oracle(&compiled.cps, &env, &opts, &all_sat).expect("abstracts");
+        let all_unknown = |_: &Formula| SatResult::Unknown;
+        let (coarse, _) = abstract_program_with_oracle(&compiled.cps, &env, &opts, &all_unknown)
+            .expect("abstracts");
         assert!(coarse.size() >= reference.size());
     }
 }

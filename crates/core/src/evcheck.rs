@@ -30,13 +30,13 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use homc_abs::{abstract_program_with_oracle, AbsOptions};
+use homc_abs::{abstract_program_with_oracle, AbsOptions, EnumMode};
 use homc_hbp::{CheckLimits, Checker, Gamma};
 use homc_lang::eval::{run, Label, Outcome, ScriptDriver};
 use homc_lang::frontend;
 use homc_metrics::{Counter, Metrics};
 use homc_serve::{Evidence, EvidenceVerdict, SafeEvidence};
-use homc_smt::{verify_unsat, Formula};
+use homc_smt::{verify_unsat, Formula, SatResult};
 use homc_trace::stable_hash64;
 
 /// Fuel for the counterexample replay. Generous: suite counterexamples are
@@ -151,12 +151,26 @@ fn check_safe(
         }
     }
     let unsat: HashSet<Formula> = se.proofs.iter().map(|(f, _)| f.canon()).collect();
-    // Step 2: the proof table is the only UNSAT source. An unknown query is
-    // answered SAT — the abstraction can only get coarser than the
-    // emitter's, so any *new* behaviour shows up in step 3 as a non-closed
-    // invariant (a rejection), never as a false certificate.
-    let oracle = |f: &Formula| Ok(!unsat.contains(&f.canon()));
-    let (bp, _) = abstract_program_with_oracle(program, &se.env, &AbsOptions::default(), &oracle)
+    // Step 2: the proof table is the only UNSAT source. Any other query is
+    // answered unknown, which descends like SAT — the abstraction can only
+    // get coarser than the emitter's, so any *new* behaviour shows up in
+    // step 3 as a non-closed invariant (a rejection), never as a false
+    // certificate. The oracle has no models to offer, so the enumeration is
+    // the exhaustive one, which asks every node. Hash-set lookups are all
+    // it costs, so worker threads would only add their start-up.
+    let oracle = |f: &Formula| {
+        if unsat.contains(&f.canon()) {
+            SatResult::Unsat
+        } else {
+            SatResult::Unknown
+        }
+    };
+    let opts = AbsOptions {
+        threads: 1,
+        enum_mode: EnumMode::Exhaustive,
+        ..AbsOptions::default()
+    };
+    let (bp, _) = abstract_program_with_oracle(program, &se.env, &opts, &oracle)
         .map_err(|e| format!("abstraction replay failed: {e:?}"))?;
     // Step 3: one sweep over the seeded invariant. ×4 over the default
     // limits covers certificates produced by escalated runs; exhaustion is

@@ -22,12 +22,12 @@
 //! (search steps, table size, trace fuel — not the deadline) stopped the
 //! run, the loop restarts once with limits scaled ×4 before giving up.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Mutex, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 use homc_abs::{
@@ -50,7 +50,7 @@ use homc_serve::{
 };
 use homc_smt::{
     prove_unsat, Budget, BudgetError, CancelToken, FaultPlan, LimitKind, Phase, QueryCache,
-    SmtSolver, UnsatProof,
+    SatResult, SmtSolver,
 };
 use homc_smt::{Formula, Var};
 use homc_trace::Tracer;
@@ -894,13 +894,16 @@ pub fn verify_compiled(
     }
 
     // Verdict-evidence export. For Safe, re-derive the boolean program from
-    // the winning environment under a *recording* oracle: every UNSAT
-    // answer gets a self-contained DNF refutation proof, deduplicated by
-    // canonical formula. The replay solver shares the run's query cache —
-    // so this is mostly cache hits — but carries no budget: a deadline
-    // expiring just after the verdict must not be able to truncate the
-    // proof table. Evidence can fail to materialize; it can never change
-    // the verdict.
+    // the winning environment under a *recording* oracle: the production
+    // abstraction (the run's own options — model-guided, parallel) whose
+    // solver notes every query it answers UNSAT, by canonical formula; each
+    // one then gets a self-contained DNF refutation proof. Model-guided
+    // enumeration prunes exactly at UNSAT prefixes, so this is the UNSAT set
+    // the checker's exhaustive re-derivation asks about. The replay solver
+    // shares the run's query cache — so this is mostly cache hits — but
+    // carries no budget: a deadline expiring just after the verdict must
+    // not be able to truncate the proof table. Evidence can fail to
+    // materialize; it can never change the verdict.
     let mut evidence: Option<Evidence> = None;
     if let Some(cfg) = &opts.evidence {
         let ev_verdict = match &verdict {
@@ -910,24 +913,23 @@ pub fn verify_compiled(
                 // must not be able to truncate the proof table.
                 let ebudget = Arc::new(Budget::new(None, None, FaultPlan::none()));
                 let esolver = SmtSolver::with_budget(ebudget).with_cache(cache.clone());
-                let proofs: RefCell<BTreeMap<Formula, Option<UnsatProof>>> =
-                    RefCell::new(BTreeMap::new());
-                let record = |f: &Formula| -> Result<bool, AbsError> {
-                    let sat = esolver.maybe_sat(f);
-                    if !sat {
+                let unsat: Mutex<BTreeSet<Formula>> = Mutex::new(BTreeSet::new());
+                let record = |f: &Formula| {
+                    let answer = esolver.check(f);
+                    if matches!(answer, SatResult::Unsat) {
                         let canon = f.canon();
-                        proofs
-                            .borrow_mut()
-                            .entry(canon.clone())
-                            .or_insert_with(|| prove_unsat(&canon));
+                        unsat
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .insert(canon);
                     }
-                    Ok(sat)
+                    answer
                 };
                 abstract_program_with_oracle(&compiled.cps, &env, &abs_opts, &record).ok()?;
                 let mut proved = Vec::new();
                 let mut unproved = 0u64;
-                for (f, proof) in proofs.into_inner() {
-                    match proof {
+                for f in unsat.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                    match prove_unsat(&f) {
                         Some(p) => proved.push((f, p)),
                         None => unproved += 1,
                     }

@@ -1,11 +1,20 @@
 //! End-to-end evidence round-trips: a verification run exports evidence,
 //! the independent checker re-establishes the verdict from it, and simple
-//! in-memory tampering is rejected.
+//! in-memory tampering is rejected. The emitter records its UNSAT answers
+//! from the production (model-guided, parallel, cached) abstraction, so the
+//! recorded set is checked here against the exhaustive enumeration the
+//! checker replays.
+
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use homc::{
-    check_evidence, stable_hash64, verify, EvidenceConfig, EvidenceVerdict, Metrics, Verdict,
-    VerifierOptions,
+    check_evidence, stable_hash64, suite, verify, ArtifactConfig, ArtifactStore, EvidenceConfig,
+    EvidenceVerdict, Metrics, QueryCache, Verdict, VerifierOptions, SUITE,
 };
+use homc_abs::{abstract_program_with_oracle, AbsEnv, AbsOptions, EnumMode};
+use homc_lang::kernel::Program;
+use homc_smt::{Formula, SatResult, SmtSolver};
 
 const SAFE: &str = "let f x g = g (x + 1) in
                     let h y = assert (y > 0) in
@@ -92,5 +101,95 @@ fn unknown_verdict_exports_nothing() {
     if matches!(out.verdict, Verdict::Unknown { .. }) {
         assert!(out.evidence.is_none());
         assert_eq!(out.stats.evidence_digest, 0);
+    }
+}
+
+/// The canonical queries `solver` answers UNSAT while abstracting `program`
+/// at `env` under `opts`, recorded through the abstraction's oracle hook.
+fn recorded_unsat(
+    program: &Program,
+    env: &AbsEnv,
+    opts: &AbsOptions,
+    solver: &SmtSolver,
+) -> BTreeSet<Formula> {
+    let unsat = Mutex::new(BTreeSet::new());
+    let record = |f: &Formula| {
+        let answer = solver.check(f);
+        if matches!(answer, SatResult::Unsat) {
+            unsat.lock().expect("recorder lock").insert(f.canon());
+        }
+        answer
+    };
+    abstract_program_with_oracle(program, env, opts, &record).expect("abstracts");
+    unsat.into_inner().expect("recorder lock")
+}
+
+#[test]
+fn model_guided_replay_records_the_exhaustive_unsat_set() {
+    let dir = std::env::temp_dir().join(format!("homc-evd-unsat-set-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for p in SUITE {
+        let opts = VerifierOptions {
+            artifacts: Some(ArtifactConfig {
+                dir: dir.clone(),
+                key: p.name.to_string(),
+            }),
+            ..with_evidence(p.source)
+        };
+        let out = verify(p.source, &opts).expect("runs");
+        // The artifact carries the final environment of Safe and Unsafe
+        // runs alike; the evidence only of Safe ones.
+        let env = ArtifactStore::new(&dir)
+            .load(p.name)
+            .expect("artifact dir readable")
+            .artifact
+            .unwrap_or_else(|| panic!("{}: decisive run publishes an artifact", p.name))
+            .env;
+        let compiled = homc_lang::frontend(p.source).expect("compiles");
+        // The emitter's replay: the production options over a query cache.
+        let cached = SmtSolver::new().with_cache(Arc::new(QueryCache::new()));
+        let guided = recorded_unsat(&compiled.cps, &env, &AbsOptions::default(), &cached);
+        // The old emission path, kept here as the oracle: one query per DFS
+        // node, sequential, no cache.
+        let exhaustive_opts = AbsOptions {
+            threads: 1,
+            enum_mode: EnumMode::Exhaustive,
+            ..AbsOptions::default()
+        };
+        let exhaustive = recorded_unsat(&compiled.cps, &env, &exhaustive_opts, &SmtSolver::new());
+        assert_eq!(guided, exhaustive, "{}: recorded UNSAT sets differ", p.name);
+        if let Some(EvidenceVerdict::Safe(se)) = out.evidence.map(|e| e.verdict) {
+            assert_eq!(
+                se.proofs.len() as u64 + se.unproved,
+                guided.len() as u64,
+                "{}: every recorded query is proved or counted unproved",
+                p.name
+            );
+            assert!(
+                se.proofs.iter().all(|(f, _)| guided.contains(f)),
+                "{}",
+                p.name
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn safe_digest_is_independent_of_abstraction_threads() {
+    for name in ["intro3", "hrec", "l-zipmap"] {
+        let p = suite::find(name).expect("present");
+        let digest = |threads: usize| {
+            let mut opts = with_evidence(p.source);
+            opts.abs.threads = threads;
+            let out = verify(p.source, &opts).expect("runs");
+            assert_eq!(out.verdict, Verdict::Safe, "{name}");
+            out.stats.evidence_digest
+        };
+        assert_eq!(
+            digest(1),
+            digest(4),
+            "{name}: evidence depends on thread count"
+        );
     }
 }

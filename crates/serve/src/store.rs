@@ -44,6 +44,12 @@
 //! number. Keyed files (`<slug>-<hash16>.art`, `.evd`) replace their
 //! predecessor by `rename`. Readers never see a half-written file under a
 //! store name.
+//!
+//! A writer that dies mid-publish leaves its temp file behind. Every load
+//! and publish removes the temp files whose `<pid>` is not alive
+//! (`/proc/<pid>` absent), which never matches this process's own. A name
+//! whose pid does not parse, and every temp file where `/proc` is missing
+//! or shows another pid namespace, is left alone.
 
 use std::fmt;
 use std::fs;
@@ -325,6 +331,7 @@ impl Store {
         &self,
         mut decode: impl FnMut(&str) -> Result<T, E>,
     ) -> io::Result<(Vec<T>, LoadReport)> {
+        self.reclaim_orphans();
         let mut report = LoadReport::default();
         let mut records = Vec::new();
         for path in self.files()? {
@@ -347,6 +354,7 @@ impl Store {
     /// Loads the file of `key`: the assembled value, and whether a file
     /// existed but was quarantined. A missing or stale file is a clean miss.
     pub(crate) fn load_keyed<A: Assemble>(&self, key: &str) -> (Option<A::Out>, bool) {
+        self.reclaim_orphans();
         let path = self.path_for(key);
         let mut acc = A::default();
         match self.load(&path, |p| acc.add(p)).map(|s| s.status) {
@@ -369,6 +377,7 @@ impl Store {
         mut render: impl FnMut(u64) -> Vec<u8>,
     ) -> io::Result<(PathBuf, u64)> {
         self.ensure_dir()?;
+        self.reclaim_orphans();
         let files = self.files()?;
         let mut n = 1 + files
             .iter()
@@ -396,6 +405,7 @@ impl Store {
     /// Publishes `bytes` as the file of `key`, replacing any previous one.
     pub(crate) fn publish_keyed(&self, key: &str, bytes: &[u8]) -> io::Result<PathBuf> {
         self.ensure_dir()?;
+        self.reclaim_orphans();
         let path = self.path_for(key);
         let tmp = self.write_tmp(bytes)?;
         if let Err(e) = fs::rename(&tmp, &path) {
@@ -415,6 +425,31 @@ impl Store {
         fs::create_dir_all(&self.dir)?;
         let parent = self.dir.parent().filter(|p| !p.as_os_str().is_empty());
         sync_dir(parent.unwrap_or(Path::new(".")))
+    }
+
+    /// Removes the temp files of writers that died mid-publish (see the
+    /// module docs). Best effort: an I/O error only leaves a file behind.
+    fn reclaim_orphans(&self) {
+        // `/proc` answers for liveness only when it shows this process's
+        // pid namespace, which `/proc/self` naming our own pid confirms. Then
+        // this process is alive there too, and its own files are kept.
+        let proc = Path::new("/proc");
+        let me = std::process::id().to_string();
+        if fs::read_link(proc.join("self")).ok().as_deref() != Some(Path::new(&me)) {
+            return;
+        }
+        let Ok(entries) = fs::read_dir(&self.dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let Some(pid) = name.to_str().and_then(tmp_pid) else {
+                continue;
+            };
+            if !proc.join(pid.to_string()).exists() {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
     }
 
     /// Writes and fsyncs a temp file no other writer uses.
@@ -440,6 +475,13 @@ impl Store {
             return Ok(path);
         }
     }
+}
+
+/// The writer pid of a temp file name `.tmp-<pid>-<n>`.
+fn tmp_pid(name: &str) -> Option<u32> {
+    let (pid, n) = name.strip_prefix(".tmp-")?.split_once('-')?;
+    n.parse::<u64>().ok()?;
+    pid.parse().ok()
 }
 
 fn sync_dir(dir: &Path) -> io::Result<()> {

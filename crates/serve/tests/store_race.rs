@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use homc_serve::{DiskCache, Ledger, RunRecord};
+use homc_serve::{DiskCache, EvidenceStore, Ledger, RunRecord};
 use homc_smt::{Atom, CachedSat, Formula, LinExpr, QueryCache};
 
 const THREADS: usize = 8;
@@ -139,5 +139,53 @@ fn concurrent_publishers_lose_nothing() {
             .starts_with(".tmp")),
         "no temp file left behind"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A writer that died mid-publish leaves `.tmp-<pid>-<n>` behind. Loads and
+/// publishes reclaim the files of dead pids, and never those of this
+/// process (another thread may be writing one) or an unparsable name.
+#[test]
+fn dead_writers_temp_files_are_reclaimed() {
+    let me = std::process::id().to_string();
+    if fs::read_link("/proc/self").ok() != Some(PathBuf::from(&me)) {
+        return; // no procfs of our own: liveness is unknowable, nothing is reclaimed
+    }
+    let dir = tmpdir("orphans");
+    fs::create_dir_all(&dir).expect("creates dir");
+    let mut child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .arg("--list")
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("spawns");
+    let dead = child.id();
+    child.wait().expect("reaps");
+    let orphan = dir.join(format!(".tmp-{dead}-0"));
+    let ours = dir.join(format!(".tmp-{me}-999999"));
+    let unparsable = dir.join(".tmp-writer-0");
+    for path in [&orphan, &ours, &unparsable] {
+        fs::write(path, b"torn").expect("plants temp file");
+    }
+    DiskCache::new(&dir)
+        .publish(&distinct_cache(0, 0))
+        .expect("publishes");
+    assert!(
+        !orphan.exists(),
+        "a dead writer's temp file survived a publish"
+    );
+    assert!(ours.exists(), "publish removed this process's temp file");
+    assert!(
+        unparsable.exists(),
+        "publish removed a temp file of unknown pid"
+    );
+
+    fs::write(&orphan, b"torn").expect("plants temp file");
+    let load = EvidenceStore::new(&dir).load("absent").expect("loads");
+    assert!(load.evidence.is_none());
+    assert!(
+        !orphan.exists(),
+        "a dead writer's temp file survived a load"
+    );
+    assert!(ours.exists() && unparsable.exists());
     let _ = fs::remove_dir_all(&dir);
 }

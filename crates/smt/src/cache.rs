@@ -280,7 +280,7 @@ impl QueryCache {
     /// type docs); called by `SmtSolver::check` after a successful
     /// checkpoint, immediately before the `check`-table lookup.
     pub fn note_smt_checkpoint(&self) {
-        self.smt_checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.smt_checkpoints.fetch_add(1, Ordering::SeqCst);
     }
 
     /// The checkpoint-before-lookup invariant, as a debug assertion. Every
@@ -290,11 +290,16 @@ impl QueryCache {
     /// first (which would renumber `--inject smt:n` schedules on warm
     /// caches).
     fn guard_check_lookup(&self) {
-        let notes = self.smt_checkpoints.load(Ordering::Relaxed);
-        if notes == 0 {
+        if self.smt_checkpoints.load(Ordering::SeqCst) == 0 {
             return; // guard dormant: direct cache use without a budget
         }
-        let lookups = self.guarded_lookups.fetch_add(1, Ordering::Relaxed) + 1;
+        // Count this lookup, then read the notes. In the single SeqCst
+        // order every lookup counted so far comes after its own note, so
+        // the notes read here cover them all. Reading the notes first
+        // would let another thread's note-and-lookup land in between and
+        // trip the assertion spuriously.
+        let lookups = self.guarded_lookups.fetch_add(1, Ordering::SeqCst) + 1;
+        let notes = self.smt_checkpoints.load(Ordering::SeqCst);
         debug_assert!(
             lookups <= notes,
             "QueryCache invariant violated: check-table lookup without a \
@@ -651,6 +656,28 @@ mod tests {
             c.note_smt_checkpoint();
             let _ = c.lookup_check(&key);
         }
+    }
+
+    #[test]
+    fn balanced_checkpoints_keep_guard_quiet_across_threads() {
+        // Each thread notes, then looks up, on one shared cache: another
+        // thread's note-and-lookup may fall between any two of its steps,
+        // and the guard must still see every lookup covered.
+        const THREADS: usize = 4;
+        let c = QueryCache::new();
+        let key = (Formula::True, 48u32);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..20_000 {
+                        c.note_smt_checkpoint();
+                        let _ = c.lookup_check(&key);
+                    }
+                });
+            }
+        });
     }
 
     #[cfg(debug_assertions)]

@@ -27,7 +27,13 @@
 use crate::fm::{check_certificate, rational_sat, FarkasCert, RatResult};
 use crate::formula::{Formula, Literal};
 use crate::linexpr::{Atom, LinExpr, Rel, Var};
-use crate::rat::gcd;
+use crate::rat::{gcd, Rat};
+
+#[cfg(test)]
+thread_local! {
+    /// Fourier–Motzkin runs started by the proof search on this thread.
+    static FM_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Cube cap for the proof-side DNF expansion. Queries whose DNF would exceed
 /// this are simply not proved (the emitter reports them as unprovable and the
@@ -85,20 +91,6 @@ pub struct UnsatProof {
     pub cubes: Vec<CubeProof>,
 }
 
-/// The arithmetic atoms of an indexed cube, in literal order, as references
-/// into the shared leaf table. Both the emitter and the verifier stay on
-/// references end-to-end: on certificate-heavy programs the DNF can hold
-/// millions of cube/literal pairs, and cloning each `Atom` per cube used to
-/// dominate the evidence checker's runtime.
-fn cube_atoms<'a>(cube: &[u32], leaves: &'a [Literal]) -> Vec<&'a Atom> {
-    cube.iter()
-        .filter_map(|&i| match &leaves[i as usize] {
-            Literal::Arith(a) => Some(a),
-            Literal::Bool(..) => None,
-        })
-        .collect()
-}
-
 /// `true` when the cube carries some boolean variable in both polarities.
 fn has_bool_conflict(cube: &[u32], leaves: &[Literal]) -> bool {
     cube.iter().any(|&i| match &leaves[i as usize] {
@@ -131,6 +123,8 @@ fn int_refute(atoms: &[Atom], depth: u32) -> Option<ArithRefutation> {
     if let Some(i) = gcd_cut_index(atoms) {
         return Some(ArithRefutation::Gcd(i));
     }
+    #[cfg(test)]
+    FM_CALLS.with(|c| c.set(c.get() + 1));
     match rational_sat(atoms) {
         RatResult::Unsat(cert) => Some(ArithRefutation::Farkas(cert)),
         RatResult::Sat(model) => {
@@ -155,27 +149,66 @@ fn int_refute(atoms: &[Atom], depth: u32) -> Option<ArithRefutation> {
     }
 }
 
+/// Sentinel of [`prove_unsat`]'s leaf-position table: the leaf is not an
+/// arithmetic atom of the current cube.
+const ABSENT: usize = usize::MAX;
+
 /// Attempts to build a checkable UNSAT proof for `f`.
 ///
 /// Returns `None` when `f` is satisfiable, when its DNF exceeds
 /// [`PROOF_DNF_LIMIT`] cubes, or when branch & bound ran out of depth on
 /// some cube. Callers treat an unproved formula as satisfiable — for the
 /// abstraction this only coarsens the abstract program, which is sound.
+///
+/// Cubes of one DNF share most of their atoms, and most of them fall to the
+/// same small contradiction. So every Farkas refutation is kept as an unsat
+/// core — its `(leaf, weight)` support over the shared leaf table — and a
+/// later cube that contains all of a kept core's leaves gets that
+/// certificate, re-indexed to its own atoms, without a search. The proof is
+/// still one self-contained refutation per cube, checked like any other.
 pub fn prove_unsat(f: &Formula) -> Option<UnsatProof> {
     let ix = f.dnf_indexed(PROOF_DNF_LIMIT)?;
     let mut out = Vec::with_capacity(ix.num_cubes());
+    let mut cores: Vec<Vec<(u32, Rat)>> = Vec::new();
+    // `pos[leaf]` is the leaf's index among the current cube's arithmetic
+    // atoms (its first occurrence), `ABSENT` otherwise; reset after each
+    // cube, so the table costs one pass per cube, not one per leaf.
+    let mut pos = vec![ABSENT; ix.leaves.len()];
+    let mut arith: Vec<(u32, &Atom)> = Vec::new();
     for cube in ix.cubes() {
         if has_bool_conflict(cube, &ix.leaves) {
             out.push(CubeProof::BoolConflict);
             continue;
         }
-        // Branch & bound appends bound atoms as it splits, so this one path
-        // materializes owned atoms; bool-conflict cubes never pay for it.
-        let atoms: Vec<Atom> = cube_atoms(cube, &ix.leaves)
-            .into_iter()
-            .cloned()
-            .collect();
-        out.push(CubeProof::Arith(int_refute(&atoms, PROOF_BB_DEPTH)?));
+        arith.clear();
+        arith.extend(cube.iter().filter_map(|&i| match &ix.leaves[i as usize] {
+            Literal::Arith(a) => Some((i, a)),
+            Literal::Bool(..) => None,
+        }));
+        for (k, &(l, _)) in arith.iter().enumerate().rev() {
+            pos[l as usize] = k;
+        }
+        let reused = cores
+            .iter()
+            .find(|core| core.iter().all(|&(l, _)| pos[l as usize] != ABSENT))
+            .map(|core| core.iter().map(|&(l, w)| (pos[l as usize], w)).collect());
+        for &(l, _) in &arith {
+            pos[l as usize] = ABSENT;
+        }
+        let refutation = match reused {
+            Some(cert) => ArithRefutation::Farkas(cert),
+            None => {
+                // Branch & bound appends bound atoms as it splits, so a
+                // fresh search materializes owned atoms.
+                let atoms: Vec<Atom> = arith.iter().map(|&(_, a)| a.clone()).collect();
+                let r = int_refute(&atoms, PROOF_BB_DEPTH)?;
+                if let ArithRefutation::Farkas(cert) = &r {
+                    cores.push(cert.iter().map(|&(i, w)| (arith[i].0, w)).collect());
+                }
+                r
+            }
+        };
+        out.push(CubeProof::Arith(refutation));
     }
     Some(UnsatProof { cubes: out })
 }
@@ -268,7 +301,6 @@ pub fn verify_unsat(f: &Formula, proof: &UnsatProof) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rat::Rat;
 
     fn x() -> LinExpr {
         LinExpr::var("x")
@@ -382,5 +414,95 @@ mod tests {
             cubes: vec![CubeProof::BoolConflict],
         };
         assert!(!verify_unsat(&f, &bad));
+    }
+
+    /// FM runs the proof search starts while proving `f`.
+    fn fm_calls(f: &Formula) -> (Option<UnsatProof>, usize) {
+        let before = FM_CALLS.with(|c| c.get());
+        let p = prove_unsat(f);
+        (p, FM_CALLS.with(|c| c.get()) - before)
+    }
+
+    /// `(x > 0 ∧ x < 0) ∧ (y₁ > 0 ∨ y₁ < 5) ∧ … ∧ (y₃ > 0 ∨ y₃ < 5)`: eight
+    /// cubes, every one refuted by the same two-atom contradiction.
+    fn shared_core_formula() -> Formula {
+        let mut parts = vec![
+            Formula::atom(Atom::gt(x(), LinExpr::constant(0))),
+            Formula::atom(Atom::lt(x(), LinExpr::constant(0))),
+        ];
+        for i in 1..=3 {
+            let y = LinExpr::var(format!("y{i}"));
+            parts.push(Formula::or2(
+                Formula::atom(Atom::gt(y.clone(), LinExpr::constant(0))),
+                Formula::atom(Atom::lt(y, LinExpr::constant(5))),
+            ));
+        }
+        Formula::and(parts)
+    }
+
+    #[test]
+    fn shared_core_is_refuted_once() {
+        let f = shared_core_formula();
+        let (p, calls) = fm_calls(&f);
+        let p = p.expect("provable");
+        assert_eq!(p.cubes.len(), 8);
+        assert_eq!(calls, 1, "one FM run, seven reused cores");
+        assert!(verify_unsat(&f, &p));
+    }
+
+    #[test]
+    fn tampered_reused_certificate_is_rejected() {
+        let f = shared_core_formula();
+        let p = prove_unsat(&f).expect("provable");
+        // Every cube after the first carries a reused certificate.
+        for k in 1..p.cubes.len() {
+            let CubeProof::Arith(ArithRefutation::Farkas(cert)) = &p.cubes[k] else {
+                panic!("expected a Farkas cube");
+            };
+            let mut bad = p.clone();
+            let mut flipped = cert.clone();
+            flipped[0].1 = -flipped[0].1;
+            bad.cubes[k] = CubeProof::Arith(ArithRefutation::Farkas(flipped));
+            assert!(
+                !verify_unsat(&f, &bad),
+                "flipped weight in cube {k} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn mixed_refutation_kinds_roundtrip() {
+        // (x > 0 ∧ x < 0) ∨ 2x = 2y + 1 ∨ (2x >= 1 ∧ 2x <= 1), under a
+        // two-way split that duplicates every cube: Farkas (fresh and
+        // reused), Gcd and Split refutations in one proof.
+        let farkas = Formula::and2(
+            Formula::atom(Atom::gt(x(), LinExpr::constant(0))),
+            Formula::atom(Atom::lt(x(), LinExpr::constant(0))),
+        );
+        let gcd = Formula::atom(Atom::eq(x() * 2, y() * 2 + LinExpr::constant(1)));
+        let split = Formula::and2(
+            Formula::atom(Atom::ge(x() * 2, LinExpr::constant(1))),
+            Formula::atom(Atom::le(x() * 2, LinExpr::constant(1))),
+        );
+        let z = LinExpr::var("z");
+        let f = Formula::and2(
+            Formula::or(vec![farkas, gcd, split]),
+            Formula::or2(
+                Formula::atom(Atom::gt(z.clone(), LinExpr::constant(0))),
+                Formula::atom(Atom::le(z, LinExpr::constant(0))),
+            ),
+        );
+        let p = prove_unsat(&f).expect("provable");
+        let kind = |c: &CubeProof| match c {
+            CubeProof::Arith(ArithRefutation::Farkas(_)) => "farkas",
+            CubeProof::Arith(ArithRefutation::Gcd(_)) => "gcd",
+            CubeProof::Arith(ArithRefutation::Split { .. }) => "split",
+            CubeProof::BoolConflict => "bool",
+        };
+        let kinds: Vec<&str> = p.cubes.iter().map(kind).collect();
+        for k in ["farkas", "gcd", "split"] {
+            assert!(kinds.contains(&k), "no {k} cube in {kinds:?}");
+        }
+        assert!(verify_unsat(&f, &p));
     }
 }

@@ -37,6 +37,32 @@ rm -rf "$EVD_DIR"
 run cargo run --release --offline --bin homc -- --suite --timeout 1 --evidence-dir "$EVD_DIR"
 run cargo run --release --offline --bin homc -- check --suite --evidence-dir "$EVD_DIR"
 
+# Evidence determinism: emission records its UNSAT answers from the
+# parallel, model-guided abstraction, so two full-suite emissions into
+# fresh directories must write byte-identical certificates, file for file,
+# and every one of the 30 must check.
+EVD_A=target/evidence-det-a
+EVD_B=target/evidence-det-b
+rm -rf "$EVD_A" "$EVD_B"
+run cargo run --release --offline --bin homc -- --suite --evidence-dir "$EVD_A" >/dev/null
+run cargo run --release --offline --bin homc -- --suite --evidence-dir "$EVD_B" >/dev/null
+if ! cmp <(ls "$EVD_A") <(ls "$EVD_B"); then
+    echo "tier1: evidence-smoke: two emissions wrote different file sets" >&2
+    exit 1
+fi
+for f in "$EVD_A"/*.evd; do
+    if ! cmp "$f" "$EVD_B/$(basename "$f")"; then
+        echo "tier1: evidence-smoke: evidence emission is not deterministic" >&2
+        exit 1
+    fi
+done
+run cargo run --release --offline --bin homc -- check --suite --evidence-dir "$EVD_A" \
+    | tee target/evidence-det-check.txt
+if ! grep -q '^checked: 30 pass, 0 fail, 0 missing$' target/evidence-det-check.txt; then
+    echo "tier1: evidence-smoke: not every suite certificate checked" >&2
+    exit 1
+fi
+
 # Trace smoke: one traced suite run must produce a schema-valid JSONL
 # trace (validated by the in-tree validator — no jq) and the report
 # renderer must accept it. Uses the logical clock so the stage is
