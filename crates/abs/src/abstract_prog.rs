@@ -165,19 +165,8 @@ pub fn abstract_program(
     env: &AbsEnv,
     opts: &AbsOptions,
 ) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_budgeted(program, env, opts, None)
-}
-
-/// [`abstract_program`] under a shared [`Budget`]: one [`Phase::Abs`]
-/// checkpoint per abstracted definition and per expression node, and every
-/// internal SMT query checkpoints `Phase::Smt`.
-pub fn abstract_program_budgeted(
-    program: &Program,
-    env: &AbsEnv,
-    opts: &AbsOptions,
-    budget: Option<Arc<Budget>>,
-) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_cached(program, env, opts, budget, None)
+    let (tracer, metrics) = (Tracer::disabled(), Metrics::disabled());
+    abstract_program_metered(program, env, opts, None, None, &tracer, &metrics)
 }
 
 /// What one definition task produces: its coercion wrappers followed by the
@@ -224,15 +213,22 @@ pub(crate) fn abstract_task(
         let entry = a.build_entry()?;
         a.out.push(entry);
     }
-    metrics.add(Counter::AbsImplicants, a.stats.implicants as u64);
-    metrics.add(Counter::AbsQueriesSaved, a.stats.queries_saved as u64);
-    metrics.add(Counter::AbsCtxTruncated, a.stats.ctx_truncated as u64);
     Ok((a.out, a.stats))
 }
 
-/// [`abstract_program_budgeted`] with an optional shared SMT [`QueryCache`]
-/// (hits collapse repeated entailments across definitions *and* across CEGAR
-/// iterations).
+/// [`abstract_program`] with every resource and observer attached.
+///
+/// * `budget`: one [`Phase::Abs`] checkpoint per abstracted definition and
+///   per expression node, and every internal SMT query checkpoints
+///   `Phase::Smt`.
+/// * `cache`: a shared SMT [`QueryCache`] (hits collapse repeated
+///   entailments across definitions *and* across CEGAR iterations).
+/// * `tracer`: each definition task emits one `abs_def` event (definition
+///   name, SMT queries spent, wall time) and its internal entailment queries
+///   flow to the solver-level `smt` events.
+/// * `metrics`: each definition task bumps [`Counter::AbsDefs`] and records
+///   its latency in [`Hist::AbsDefUs`]; its internal entailment queries land
+///   in the solver-level SMT counters.
 ///
 /// Top-level definitions are independent abstraction tasks — each reads only
 /// the (immutable) program, environment, and options — so they run on
@@ -241,39 +237,10 @@ pub(crate) fn abstract_task(
 /// are stitched in definition order, and on multiple failures the lowest
 /// definition index wins — so output and errors are byte-for-byte the same
 /// at any thread count. Runs with an `--inject` fault plan fall back to the
-/// sequential schedule, keeping checkpoint indices reproducible.
-pub fn abstract_program_cached(
-    program: &Program,
-    env: &AbsEnv,
-    opts: &AbsOptions,
-    budget: Option<Arc<Budget>>,
-    cache: Option<Arc<QueryCache>>,
-) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_traced(program, env, opts, budget, cache, &Tracer::disabled())
-}
-
-/// [`abstract_program_cached`] with a trace sink: each definition task emits
-/// one `abs_def` event (definition name, SMT queries spent, wall time) and
-/// its internal entailment queries flow to the solver-level `smt` events.
-/// Worker threads share the sink — events interleave per line, and a
-/// disabled tracer costs nothing. Tracing never alters the schedule or the
-/// output: the byte-identical-at-any-thread-count guarantee is unchanged.
-pub fn abstract_program_traced(
-    program: &Program,
-    env: &AbsEnv,
-    opts: &AbsOptions,
-    budget: Option<Arc<Budget>>,
-    cache: Option<Arc<QueryCache>>,
-    tracer: &Tracer,
-) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_metered(program, env, opts, budget, cache, tracer, &Metrics::disabled())
-}
-
-/// [`abstract_program_traced`] with a metrics registry: each definition task
-/// bumps [`Counter::AbsDefs`] and records its latency in [`Hist::AbsDefUs`];
-/// its internal entailment queries land in the solver-level SMT counters.
-/// Like the tracer, the registry is shared across worker threads and is
-/// purely observational — it never alters the schedule or the output.
+/// sequential schedule, keeping checkpoint indices reproducible. Worker
+/// threads share the tracer and the registry (events interleave per line);
+/// both are purely observational and never alter the schedule or the
+/// output, and disabled handles cost nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn abstract_program_metered(
     program: &Program,

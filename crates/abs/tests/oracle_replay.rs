@@ -8,12 +8,14 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use homc_abs::{
-    abstract_program_cached, abstract_program_with_oracle, AbsEnv, AbsOptions, AbsTy, EnumMode,
+    abstract_program_metered, abstract_program_with_oracle, AbsEnv, AbsOptions, AbsTy, EnumMode,
     Predicate,
 };
 use homc_lang::frontend;
 use homc_lang::types::SimpleTy;
+use homc_metrics::Metrics;
 use homc_smt::{Atom, Formula, LinExpr, SatResult, SmtSolver, Var};
+use homc_trace::Tracer;
 
 const PROGRAMS: [&str; 3] = [
     "let f x g = g (x + 1) in
@@ -76,8 +78,10 @@ fn recorded_unsat_set_replays_byte_identically() {
             enum_mode: EnumMode::Exhaustive,
             ..AbsOptions::default()
         };
+        let (tracer, metrics) = (Tracer::disabled(), Metrics::disabled());
         let (reference, _) =
-            abstract_program_cached(&compiled.cps, &env, &opts, None, None).expect("abstracts");
+            abstract_program_metered(&compiled.cps, &env, &opts, None, None, &tracer, &metrics)
+                .expect("abstracts");
 
         // Record pass: a live solver behind the oracle, noting which
         // canonical queries came back UNSAT.

@@ -8,10 +8,16 @@
 
 use std::sync::Arc;
 
-use homc_abs::{abstract_program_cached, AbsEnv, AbsOptions, AbsTy, Predicate};
+use homc_abs::{
+    abstract_program_metered, AbsEnv, AbsError, AbsOptions, AbsStats, AbsTy, Predicate,
+};
+use homc_hbp::BProgram;
 use homc_lang::frontend;
+use homc_lang::kernel::Program;
 use homc_lang::types::SimpleTy;
+use homc_metrics::Metrics;
 use homc_smt::{Atom, Formula, LinExpr, QueryCache, Var};
+use homc_trace::Tracer;
 
 const PROGRAMS: [&str; 4] = [
     // The paper's M1.
@@ -52,6 +58,17 @@ fn with_gt0(t: &AbsTy) -> AbsTy {
 
 /// Abstracts `src` with the given thread count and cache choice, returning
 /// the printed boolean program.
+/// Abstraction with an optional shared cache and no budget or observers.
+fn abstract_cached(
+    program: &Program,
+    env: &AbsEnv,
+    opts: &AbsOptions,
+    cache: Option<Arc<QueryCache>>,
+) -> Result<(BProgram, AbsStats), AbsError> {
+    let (tracer, metrics) = (Tracer::disabled(), Metrics::disabled());
+    abstract_program_metered(program, env, opts, None, cache, &tracer, &metrics)
+}
+
 fn render(src: &str, threads: usize, cache: bool) -> String {
     let compiled = frontend(src).expect("compiles");
     let mut env = AbsEnv::initial(&compiled.cps);
@@ -65,8 +82,7 @@ fn render(src: &str, threads: usize, cache: bool) -> String {
         ..AbsOptions::default()
     };
     let cache = cache.then(|| Arc::new(QueryCache::new()));
-    let (bp, _) =
-        abstract_program_cached(&compiled.cps, &env, &opts, None, cache).expect("abstracts");
+    let (bp, _) = abstract_cached(&compiled.cps, &env, &opts, cache).expect("abstracts");
     bp.check().expect("well-formed boolean program");
     bp.to_string()
 }
@@ -99,10 +115,9 @@ fn parallel_abstraction_is_byte_identical_to_sequential() {
             ..AbsOptions::default()
         };
         let (first, _) =
-            abstract_program_cached(&compiled.cps, &env, &opts, None, Some(shared.clone()))
-                .expect("abstracts");
-        let (second, _) = abstract_program_cached(&compiled.cps, &env, &opts, None, Some(shared))
-            .expect("abstracts");
+            abstract_cached(&compiled.cps, &env, &opts, Some(shared.clone())).expect("abstracts");
+        let (second, _) =
+            abstract_cached(&compiled.cps, &env, &opts, Some(shared)).expect("abstracts");
         assert_eq!(
             first.to_string(),
             second.to_string(),

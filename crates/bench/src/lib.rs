@@ -11,12 +11,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use homc::{
     check_evidence, parse_json, stable_hash64, suite::SuiteProgram, verify, ArtifactConfig,
     DiskCache, EvidenceConfig, Expected, JsonValue, Metrics, QueryCache, Tracer, Verdict,
-    VerifierOptions, VerifyOutcome,
+    VerifierOptions, VerifyOutcome, VerifyStats,
 };
 
 /// One row of the regenerated Table 1.
@@ -269,6 +270,107 @@ pub fn format_row(r: &Row) -> String {
         v,
         if r.verdict_ok { "" } else { "  ** MISMATCH **" },
     )
+}
+
+/// The baseline document's schema version. `bench-diff` refuses to compare
+/// documents whose schema (or suite, or clock mode) disagrees. Schema 5
+/// added the cross-run incremental column (`incr_total_s` per row,
+/// `incr_wall_s` in the totals); schema 6 added the evidence-checker
+/// column (`check_s` per row, `check_wall_s` in the totals).
+const SCHEMA: u64 = 6;
+
+/// Escapes a string for a JSON string literal (the names and verdicts here
+/// are ASCII identifiers, but quoting defensively costs nothing).
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Every run-table counter of `stats` as `, "name": value` JSON members.
+fn counter_members(stats: &VerifyStats) -> String {
+    let mut out = String::new();
+    for (name, v) in stats.counters() {
+        let _ = write!(out, ", \"{name}\": {v}");
+    }
+    out
+}
+
+/// Renders the collected rows as the benchmark-baseline JSON document: a
+/// `meta` header, one object per program (verdict, trace-derived columns,
+/// per-phase seconds, every run-table counter, then the warm, incremental
+/// and checker columns), and suite totals (each counter merged by its
+/// row's rule: summed, or the maximum for peak bytes).
+pub fn to_json(rows: &[Row]) -> String {
+    let mut totals = VerifyStats::default();
+    let (mut wall, mut warm_wall, mut incr_wall, mut check_wall) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let mut warm_disk_hits = 0u64;
+    let mut body = String::from("{\n");
+    let _ = writeln!(
+        body,
+        "  \"meta\": {{\"schema\": {SCHEMA}, \"suite\": \"table1\", \"programs\": {}, \
+         \"threads\": {}, \"clock\": \"wall\"}},",
+        rows.len(),
+        VerifierOptions::default().abs.threads,
+    );
+    body.push_str("  \"programs\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        let s = &r.outcome.stats;
+        let verdict = match &r.outcome.verdict {
+            Verdict::Safe => "safe",
+            Verdict::Unsafe { .. } => "unsafe",
+            Verdict::Unknown { .. } => "unknown",
+        };
+        totals.absorb(s);
+        wall += s.total.as_secs_f64();
+        warm_wall += r.warm_total_s;
+        warm_disk_hits += r.warm_disk_hits;
+        incr_wall += r.incr_total_s;
+        check_wall += r.check_s;
+        let _ = writeln!(
+            body,
+            "    {{\"name\": {}, \"verdict\": {}, \"verdict_ok\": {}, \
+             \"iterations\": {}, \"peak_hbp\": {}, \
+             \"abst_s\": {:.4}, \"mc_s\": {:.4}, \"cegar_s\": {:.4}, \"total_s\": {:.4}{}, \
+             \"warm_total_s\": {:.4}, \"warm_disk_hits\": {}, \"incr_total_s\": {:.4}, \
+             \"check_s\": {:.4}}}{}",
+            json_str(r.name),
+            json_str(verdict),
+            r.verdict_ok,
+            r.iterations,
+            r.peak_hbp,
+            s.abst.as_secs_f64(),
+            s.mc.as_secs_f64(),
+            s.cegar.as_secs_f64(),
+            s.total.as_secs_f64(),
+            counter_members(s),
+            r.warm_total_s,
+            r.warm_disk_hits,
+            r.incr_total_s,
+            r.check_s,
+            if i + 1 == rows.len() { "" } else { "," },
+        );
+    }
+    let _ = write!(
+        body,
+        "  ],\n  \"totals\": {{\"wall_s\": {wall:.4}{}, \"warm_wall_s\": {warm_wall:.4}, \
+         \"warm_disk_hits\": {warm_disk_hits}, \"incr_wall_s\": {incr_wall:.4}, \
+         \"check_wall_s\": {check_wall:.4}}}\n}}\n",
+        counter_members(&totals),
+    );
+    body
 }
 
 /// A minimal timing loop for the `benches/` targets (plain `harness =

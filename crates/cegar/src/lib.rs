@@ -30,10 +30,8 @@ pub mod slice;
 pub use enumerate::gen_p;
 pub use seed::seed_env;
 pub use refine::{
-    check_feasibility, discover_predicates, discover_predicates_budgeted,
-    discover_predicates_cached, discover_predicates_metered, discover_predicates_traced,
-    fastpath_sequence, refine_env,
-    refine_env_budgeted, refine_env_traced, Feasibility, PredProvenance, PredSource, RefineError,
+    check_feasibility, discover_predicates, discover_predicates_metered, fastpath_sequence,
+    refine_env, refine_env_traced, Feasibility, PredProvenance, PredSource, RefineError,
     RefineOptions, Refinement,
 };
 pub use shp::{

@@ -227,55 +227,26 @@ pub fn discover_predicates(
     trace: &Trace,
     opts: &RefineOptions,
 ) -> Result<Refinement, RefineError> {
-    discover_predicates_budgeted(program, trace, opts, Budget::unlimited())
+    let (tracer, metrics) = (Tracer::disabled(), Metrics::disabled());
+    discover_predicates_metered(program, trace, opts, Budget::unlimited(), None, &tracer, &metrics)
 }
 
-/// [`discover_predicates`] under a shared [`Budget`]: each cut point's
-/// interpolation is an `interp` checkpoint, and budget exhaustion inside
-/// the interpolation engine itself propagates out instead of being treated
-/// as an ordinary "no interpolant" failure.
-pub fn discover_predicates_budgeted(
-    program: &Program,
-    trace: &Trace,
-    opts: &RefineOptions,
-    budget: &Budget,
-) -> Result<Refinement, RefineError> {
-    discover_predicates_cached(program, trace, opts, budget, None)
-}
-
-/// [`discover_predicates_budgeted`] with an optional shared [`QueryCache`]:
-/// adjacent cut points interpolate against largely overlapping cube sets, so
-/// the cube-level memoization inside the interpolation engine collapses the
-/// repeated work — within one refinement and across CEGAR iterations.
-pub fn discover_predicates_cached(
-    program: &Program,
-    trace: &Trace,
-    opts: &RefineOptions,
-    budget: &Budget,
-    cache: Option<&QueryCache>,
-) -> Result<Refinement, RefineError> {
-    discover_predicates_traced(program, trace, opts, budget, cache, &Tracer::disabled())
-}
-
-/// [`discover_predicates_cached`] with an attached [`Tracer`]: each cut
-/// point that solves to a non-trivial interpolant emits an `interp_cut`
-/// event carrying the cut index and the interpolant's formula size. With a
-/// disabled tracer this is exactly `discover_predicates_cached`.
-pub fn discover_predicates_traced(
-    program: &Program,
-    trace: &Trace,
-    opts: &RefineOptions,
-    budget: &Budget,
-    cache: Option<&QueryCache>,
-    tracer: &Tracer,
-) -> Result<Refinement, RefineError> {
-    discover_predicates_metered(program, trace, opts, budget, cache, tracer, &Metrics::disabled())
-}
-
-/// [`discover_predicates_traced`] with a metrics registry: every solved
-/// non-trivial cut bumps [`Counter::InterpCuts`] and records the
-/// interpolant's formula size in [`Hist::InterpSize`]. With a disabled
-/// registry this is exactly `discover_predicates_traced`.
+/// [`discover_predicates`] with every resource and observer attached.
+///
+/// * `budget`: each cut point's interpolation is an `interp` checkpoint, and
+///   budget exhaustion inside the interpolation engine itself propagates
+///   out instead of being treated as an ordinary "no interpolant" failure.
+/// * `cache`: a shared [`QueryCache`]. Adjacent cut points interpolate
+///   against largely overlapping cube sets, so the cube-level memoization
+///   inside the interpolation engine collapses the repeated work — within
+///   one refinement and across CEGAR iterations.
+/// * `tracer`: each cut point that solves to a non-trivial interpolant
+///   emits an `interp_cut` event carrying the cut index and the
+///   interpolant's formula size.
+/// * `metrics`: every solved non-trivial cut bumps [`Counter::InterpCuts`]
+///   and records the interpolant's formula size in [`Hist::InterpSize`].
+///
+/// Disabled observers cost nothing and never change the result.
 #[allow(clippy::too_many_arguments)]
 pub fn discover_predicates_metered(
     program: &Program,
@@ -981,29 +952,25 @@ pub fn refine_env(
     solver: &SmtSolver,
     opts: &RefineOptions,
 ) -> Result<(Feasibility, bool), RefineError> {
-    refine_env_budgeted(program, trace, env, solver, opts, Budget::unlimited())
-}
-
-/// [`refine_env`] under a shared [`Budget`]. A budget-exhausted feasibility
-/// check returns early — the caller decides whether to retry or give up.
-pub fn refine_env_budgeted(
-    program: &Program,
-    trace: &Trace,
-    env: &mut AbsEnv,
-    solver: &SmtSolver,
-    opts: &RefineOptions,
-    budget: &Budget,
-) -> Result<(Feasibility, bool), RefineError> {
-    let (feas, changed, _) =
-        refine_env_traced(program, trace, env, solver, opts, budget, &Tracer::disabled())?;
+    let (feas, changed, _) = refine_env_traced(
+        program,
+        trace,
+        env,
+        solver,
+        opts,
+        Budget::unlimited(),
+        &Tracer::disabled(),
+    )?;
     Ok((feas, changed))
 }
 
-/// [`refine_env_budgeted`] with an attached [`Tracer`], additionally
-/// returning the [`Refinement`] itself so callers can report what was
-/// discovered (interpolated/seeded counts, higher-order updates, largest
-/// interpolant). The returned refinement is empty when the path was
-/// feasible or the budget preempted the feasibility check.
+/// [`refine_env`] under a shared [`Budget`] and with an attached
+/// [`Tracer`], additionally returning the [`Refinement`] itself so callers
+/// can report what was discovered (interpolated/seeded counts, higher-order
+/// updates, largest interpolant). A budget-exhausted feasibility check
+/// returns early — the caller decides whether to retry or give up. The
+/// returned refinement is empty when the path was feasible or the budget
+/// preempted the feasibility check.
 pub fn refine_env_traced(
     program: &Program,
     trace: &Trace,

@@ -22,6 +22,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use homc_metrics::Counter;
 use homc_serve::{
     run_jobs, Attempt, DiskCache, DiskFault, Job, JobOutcome, LoadReport, PoolConfig,
     PublishReport, RetryPolicy,
@@ -30,9 +31,10 @@ use homc_smt::{CancelToken, QueryCache};
 use homc_trace::{stable_hash64, Tracer};
 
 use crate::evcheck::check_evidence;
+use crate::stats::VerifyStats;
 use crate::suite::Expected;
 use crate::verifier::{
-    verify, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict, VerifierOptions, VerifyStats,
+    verify, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict, VerifierOptions,
 };
 
 /// A deterministic fault injected into one batch job.
@@ -481,7 +483,10 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
         match entry.status {
             JobStatus::Passed => report.passed += 1,
             JobStatus::Failed => report.failed += 1,
-            JobStatus::Unknown => report.unknown += 1,
+            JobStatus::Unknown => {
+                report.unknown += 1;
+                opts.verify.metrics.incr(Counter::JobsUnknown);
+            }
         }
         if let Some(s) = &entry.stats {
             report.disk_hits += s.disk_hits;

@@ -52,10 +52,10 @@
 //!   --timeout <secs>      per-program wall-clock deadline (fractions allowed)
 //!   --inject <phase:n[:kind]>  deterministically fail the n-th checkpoint of a
 //!                         phase (abs|mc|feas|interp|smt); kind is error|panic
-//!   --stats               print per-program effort counters (SMT queries,
-//!                         query-cache hits/misses, worklist pops, rescans
-//!                         avoided), peak heap bytes per phase, and the
-//!                         metrics registry's histograms under each line
+//!   --stats               print every run counter per program as
+//!                         `name=value` (effort counters, peak heap bytes
+//!                         per phase) with the metrics registry's counters
+//!                         and histograms under each line
 //!   --trace <file.jsonl>  write one JSON event per line: phase spans, one
 //!                         record per CEGAR iteration, SMT solves, faults
 //!   --trace-logical <file.jsonl>  same, under a logical clock (sequence
@@ -88,7 +88,8 @@
 //! ```
 //!
 //! Every program reports exactly one of `safe`, `unsafe`, or `unknown`; the
-//! suite ends with a `passed/failed/unknown` tally and the exit code is
+//! suite ends with a `passed/failed/unknown` tally and the merged run
+//! counters (`totals: name=value ...`), and the exit code is
 //! non-zero iff some program *failed* (wrong verdict or hard error) —
 //! `unknown` under a tight budget is a reported outcome, not a failure.
 
@@ -120,6 +121,12 @@ fn fmt_d(d: Duration) -> String {
 /// not panic on the broken pipe).
 fn say(line: std::fmt::Arguments) {
     let _ = writeln!(std::io::stdout(), "{line}");
+}
+
+/// The run-table counters as `name=value` pairs, six to a line.
+fn counter_lines(stats: &VerifyStats) -> Vec<String> {
+    let pairs: Vec<String> = stats.counters().map(|(k, v)| format!("{k}={v}")).collect();
+    pairs.chunks(6).map(|line| line.join(" ")).collect()
 }
 
 /// How one program's run is tallied.
@@ -206,55 +213,15 @@ fn run_one(
             // inspecting (what was it doing when the budget hit?), so its
             // partial counters are surfaced even without --stats.
             if show_stats || status == RunStatus::Unknown {
-                say(format_args!(
-                    "{:12} smt={} cache={}/{} worklist_pops={} rescans_avoided={} \
-                     cuts_sliced={} cert_reuse={} fm_prefix={}",
-                    "",
-                    out.stats.smt_queries,
-                    out.stats.cache_hits,
-                    out.stats.cache_misses,
-                    out.stats.worklist_pops,
-                    out.stats.rescans_avoided,
-                    out.stats.cuts_sliced,
-                    out.stats.cert_reuse_hits,
-                    out.stats.fm_prefix_hits,
-                ));
-                say(format_args!(
-                    "{:12} abs_defs_reused={} abs_defs_rebuilt={} abs_implicants={} \
-                     abs_queries_saved={} abs_ctx_truncated={} preds_dead={}",
-                    "",
-                    out.stats.abs_defs_reused,
-                    out.stats.abs_defs_rebuilt,
-                    out.stats.abs_implicants,
-                    out.stats.abs_queries_saved,
-                    out.stats.abs_ctx_truncated,
-                    out.stats.preds_dead,
-                ));
-                say(format_args!(
-                    "{:12} reverify_defs_skipped={} reverify_preds_seeded={} \
-                     artifact_quarantine={}",
-                    "",
-                    out.stats.reverify_defs_skipped,
-                    out.stats.reverify_preds_seeded,
-                    out.stats.artifact_quarantine,
-                ));
+                for line in counter_lines(&out.stats) {
+                    say(format_args!("{:12} {line}", ""));
+                }
                 if out.stats.evidence_digest != 0 {
                     say(format_args!(
                         "{:12} evidence_digest={:016x}",
                         "", out.stats.evidence_digest,
                     ));
                 }
-            }
-            if show_stats && out.stats.peak_bytes > 0 {
-                say(format_args!(
-                    "{:12} peak_bytes={} (abs={} mc={} feas={} interp={})",
-                    "",
-                    out.stats.peak_bytes,
-                    out.stats.peak_abs_bytes,
-                    out.stats.peak_mc_bytes,
-                    out.stats.peak_feas_bytes,
-                    out.stats.peak_interp_bytes,
-                ));
             }
             if show_stats {
                 if let Some(before) = &metrics_before {
@@ -1571,24 +1538,8 @@ fn main() -> ExitCode {
                     None,
                 ));
             }
-            if let Some(s) = report.stats {
-                totals.smt_queries += s.smt_queries;
-                totals.cache_hits += s.cache_hits;
-                totals.cache_misses += s.cache_misses;
-                totals.worklist_pops += s.worklist_pops;
-                totals.rescans_avoided += s.rescans_avoided;
-                totals.cuts_sliced += s.cuts_sliced;
-                totals.cert_reuse_hits += s.cert_reuse_hits;
-                totals.fm_prefix_hits += s.fm_prefix_hits;
-                totals.abs_defs_reused += s.abs_defs_reused;
-                totals.abs_defs_rebuilt += s.abs_defs_rebuilt;
-                totals.abs_implicants += s.abs_implicants;
-                totals.abs_queries_saved += s.abs_queries_saved;
-                totals.abs_ctx_truncated += s.abs_ctx_truncated;
-                totals.reverify_defs_skipped += s.reverify_defs_skipped;
-                totals.reverify_preds_seeded += s.reverify_preds_seeded;
-                totals.artifact_quarantine += s.artifact_quarantine;
-                totals.preds_dead += s.preds_dead;
+            if let Some(s) = &report.stats {
+                totals.absorb(s);
             }
         }
         progress.emit("batch_end", |e| {
@@ -1602,41 +1553,8 @@ fn main() -> ExitCode {
             "passed {passed}, failed {failed}, unknown {unknown}  wall={}",
             fmt_d(wall)
         ));
-        let lookups = totals.cache_hits + totals.cache_misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            100.0 * totals.cache_hits as f64 / lookups as f64
-        };
-        say(format_args!(
-            "smt queries {}, cache hits {}/{} ({hit_rate:.0}%), worklist pops {}, rescans avoided {}",
-            totals.smt_queries,
-            totals.cache_hits,
-            lookups,
-            totals.worklist_pops,
-            totals.rescans_avoided,
-        ));
-        say(format_args!(
-            "refinement fast path: cuts sliced {}, cert reuse {}, fm prefix hits {}",
-            totals.cuts_sliced, totals.cert_reuse_hits, totals.fm_prefix_hits,
-        ));
-        say(format_args!(
-            "incremental abstraction: defs reused {}, rebuilt {}, implicants {}, \
-             queries saved {}, ctx truncated {}, preds dead {}",
-            totals.abs_defs_reused,
-            totals.abs_defs_rebuilt,
-            totals.abs_implicants,
-            totals.abs_queries_saved,
-            totals.abs_ctx_truncated,
-            totals.preds_dead,
-        ));
-        if cli.artifacts_dir.is_some() {
-            say(format_args!(
-                "cross-run reverify: defs skipped {}, preds seeded {}, quarantined {}",
-                totals.reverify_defs_skipped,
-                totals.reverify_preds_seeded,
-                totals.artifact_quarantine,
-            ));
+        for line in counter_lines(&totals) {
+            say(format_args!("totals: {line}"));
         }
         if let Some(dir) = &cli.ledger {
             append_ledger(dir, "suite", ledger_records);

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use homc_serve::RunRecord;
 use homc_trace::{parse_json, stable_hash64, JsonValue};
 
-use crate::verifier::VerifyStats;
+use crate::stats::VerifyStats;
 
 #[derive(Default)]
 struct JobView {
@@ -194,33 +194,14 @@ pub fn render_top(stream: &str) -> String {
     out
 }
 
-/// The counter snapshot a ledger record carries: every headline effort
-/// counter of [`VerifyStats`], keyed by its `--stats` spelling.
+/// The counter snapshot a ledger record carries: every run-table counter of
+/// [`VerifyStats`], keyed by its row name, plus the evidence digest.
 pub fn stats_counters(stats: &VerifyStats) -> BTreeMap<String, u64> {
-    let mut m = BTreeMap::new();
-    let mut put = |k: &str, v: u64| {
-        m.insert(k.to_string(), v);
-    };
-    put("cycles", stats.cycles as u64);
-    put("predicates", stats.predicates as u64);
-    put("final_hbp_size", stats.final_hbp_size as u64);
-    put("retries", stats.retries as u64);
-    put("smt_queries", stats.smt_queries as u64);
-    put("cache_hits", stats.cache_hits);
-    put("cache_misses", stats.cache_misses);
-    put("disk_hits", stats.disk_hits);
-    put("cuts_sliced", stats.cuts_sliced as u64);
-    put("cert_reuse_hits", stats.cert_reuse_hits as u64);
-    put("fm_prefix_hits", stats.fm_prefix_hits);
-    put("worklist_pops", stats.worklist_pops as u64);
-    put("rescans_avoided", stats.rescans_avoided as u64);
-    put("abs_defs_reused", stats.abs_defs_reused as u64);
-    put("abs_defs_rebuilt", stats.abs_defs_rebuilt as u64);
-    put("abs_implicants", stats.abs_implicants as u64);
-    put("abs_queries_saved", stats.abs_queries_saved as u64);
-    put("abs_ctx_truncated", stats.abs_ctx_truncated as u64);
-    put("preds_dead", stats.preds_dead);
-    put("evidence_digest", stats.evidence_digest);
+    let mut m: BTreeMap<String, u64> = stats
+        .counters()
+        .map(|(name, v)| (name.to_string(), v))
+        .collect();
+    m.insert("evidence_digest".to_string(), stats.evidence_digest);
     m
 }
 

@@ -46,6 +46,7 @@
 pub mod batch;
 pub mod evcheck;
 pub mod fleet;
+pub mod stats;
 pub mod suite;
 pub mod verifier;
 
@@ -78,7 +79,8 @@ pub use homc_serve::{
     parse_evidence_bytes, Evidence, EvidenceLoad, EvidenceStore, EvidenceVerdict,
     ProvenanceRecord, SafeEvidence,
 };
+pub use stats::VerifyStats;
 pub use verifier::{
     verify, verify_compiled, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict,
-    VerifierOptions, VerifyError, VerifyOutcome, VerifyStats,
+    VerifierOptions, VerifyError, VerifyOutcome,
 };

@@ -55,6 +55,8 @@ use homc_smt::{
 use homc_smt::{Formula, Var};
 use homc_trace::Tracer;
 
+use crate::stats::VerifyStats;
+
 /// Where the verifier persists and looks up cross-run abstraction
 /// artifacts (the warm-edit re-verification path).
 #[derive(Clone, Debug)]
@@ -266,102 +268,6 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Per-phase timing and effort statistics (the columns of the paper's
-/// Table 1).
-#[derive(Clone, Debug, Default)]
-pub struct VerifyStats {
-    /// CEGAR cycles (the paper's column C).
-    pub cycles: usize,
-    /// Time computing abstract programs (column `abst`).
-    pub abst: Duration,
-    /// Time model-checking boolean programs (column `mc`).
-    pub mc: Duration,
-    /// Time in feasibility checking + predicate discovery (column `cegar`).
-    pub cegar: Duration,
-    /// Total wall-clock time (column `total`).
-    pub total: Duration,
-    /// Total predicates in the final abstraction-type environment.
-    pub predicates: usize,
-    /// Size of the final boolean program (AST nodes).
-    pub final_hbp_size: usize,
-    /// Number of full-loop restarts after a retryable budget exhaustion.
-    pub retries: usize,
-    /// SMT queries issued across the whole run: every query-cache lookup in
-    /// any table (solver checks, interpolation cubes, cube-pair
-    /// interpolants, rational cores), so `cache_hits + cache_misses ==
-    /// smt_queries` exactly.
-    pub smt_queries: usize,
-    /// Query-cache hits across the whole run (all tables).
-    pub cache_hits: u64,
-    /// Query-cache misses across the whole run (all tables).
-    pub cache_misses: u64,
-    /// Refinement cut points answered trivially because no refuting
-    /// component of the sliced path condition crossed them.
-    pub cuts_sliced: usize,
-    /// Refinement cut points whose interpolant was derived from a shared
-    /// Farkas certificate (one refutation, many cuts).
-    pub cert_reuse_hits: usize,
-    /// Fourier–Motzkin eliminations skipped because the rational core of a
-    /// query was already in the certificate cache.
-    pub fm_prefix_hits: u64,
-    /// Cache hits answered by entries seeded from the persistent disk tier
-    /// (0 for cold runs and runs without a disk cache).
-    pub disk_hits: u64,
-    /// Model-checker worklist pops (definitions re-searched), summed over
-    /// iterations.
-    pub worklist_pops: usize,
-    /// Definition re-scans the worklist avoided versus a round-based sweep,
-    /// summed over iterations.
-    pub rescans_avoided: usize,
-    /// Peak live heap bytes over the run. All `peak_*` fields read the
-    /// process's counting allocator and are 0 when none is installed (the
-    /// `homc` and `table1` binaries install it; the test harness does not).
-    pub peak_bytes: u64,
-    /// Peak live heap bytes observed while the abstraction phase allocated.
-    pub peak_abs_bytes: u64,
-    /// Peak live heap bytes observed while the model checker allocated.
-    pub peak_mc_bytes: u64,
-    /// Peak live heap bytes observed while feasibility replay allocated.
-    pub peak_feas_bytes: u64,
-    /// Peak live heap bytes observed while interpolation allocated.
-    pub peak_interp_bytes: u64,
-    /// Definitions whose abstraction was reused verbatim from the
-    /// transition memo (cone fingerprint unchanged), summed over
-    /// iterations. First-time builds count neither as reused nor rebuilt.
-    pub abs_defs_reused: usize,
-    /// Definitions re-abstracted because their cone fingerprint changed,
-    /// summed over iterations.
-    pub abs_defs_rebuilt: usize,
-    /// Feasible implicants emitted by the model-guided enumeration, summed
-    /// over iterations.
-    pub abs_implicants: usize,
-    /// Abstraction SMT queries avoided (model-coverage skips plus the
-    /// recorded cost of memo-reused definitions), summed over iterations.
-    pub abs_queries_saved: usize,
-    /// Context components dropped by the `max_context_atoms` precision cap,
-    /// summed over iterations (includes the recorded drops of memo-reused
-    /// definitions).
-    pub abs_ctx_truncated: usize,
-    /// Definitions whose abstraction was replayed from a prior run's
-    /// persisted artifact before the first iteration (manifest cone
-    /// unchanged across the edit). 0 for cold runs.
-    pub reverify_defs_skipped: usize,
-    /// Predicates seeded into the initial environment from a prior run's
-    /// winning abstraction types. 0 for cold runs.
-    pub reverify_preds_seeded: usize,
-    /// Artifact files rejected by integrity checks and quarantined while
-    /// loading (at most 1 per run).
-    pub artifact_quarantine: u64,
-    /// Predicate components of the final environment that the final
-    /// boolean program never projects — installed but unread ("dead").
-    /// Conservative: components in higher-order positions always count as
-    /// live (their reads are indirect through closure wrappers).
-    pub preds_dead: u64,
-    /// FNV-1a digest of the evidence this run exported (0 when evidence
-    /// was not requested or the verdict was not decisive).
-    pub evidence_digest: u64,
-}
-
 /// The result of a verification run.
 #[derive(Clone, Debug)]
 pub struct VerifyOutcome {
@@ -447,10 +353,6 @@ struct IterRecord {
     hbp_terms: usize,
     /// Intersection typings derived by saturation.
     typings: usize,
-    /// Worklist pops this iteration.
-    pops: usize,
-    /// Re-scans avoided this iteration.
-    rescans: usize,
     /// Counterexample length (source-level labels), 0 when none was found.
     cex_len: usize,
     /// Predicates discovered by interpolation this iteration.
@@ -464,30 +366,9 @@ struct IterRecord {
     /// Abstraction-phase SMT queries this iteration (the trace's historical
     /// `smt_queries` field keeps this meaning).
     abs_queries: usize,
-    /// Cut points answered trivially by path slicing this iteration.
-    cuts_sliced: usize,
-    /// Cut points solved from a shared Farkas certificate this iteration.
-    cert_reuse_hits: usize,
-    /// Definitions reused verbatim from the transition memo this iteration.
-    abs_defs_reused: usize,
-    /// Definitions re-abstracted (stale cone fingerprint) this iteration.
-    abs_defs_rebuilt: usize,
-    /// Feasible implicants emitted by model-guided enumeration this
-    /// iteration.
-    abs_implicants: usize,
-    /// Abstraction queries avoided this iteration.
-    abs_queries_saved: usize,
-    /// Context components dropped by the precision cap this iteration.
-    abs_ctx_truncated: usize,
-    /// Definitions replayed from a persisted artifact (iteration 0 only).
-    reverify_defs_skipped: usize,
-    /// Predicates seeded from a persisted artifact (iteration 0 only).
-    reverify_preds_seeded: usize,
-    /// Artifact files quarantined while loading (iteration 0 only).
-    artifact_quarantine: u64,
-    /// Dead predicate components of this iteration's abstraction (installed
-    /// in the environment, never projected by the boolean program).
-    preds_dead: u64,
+    /// This iteration's run counters: what the run absorbs after the
+    /// iteration, and the `iter` event's nonzero-only tail.
+    counts: VerifyStats,
 }
 
 /// The model checker's final state at a Safe verdict — the pieces the
@@ -672,7 +553,9 @@ pub fn verify_compiled(
     let mut store = None;
     let mut prior_interp = Vec::new();
     if let (Some(cfg), Some(manifest)) = (&opts.artifacts, &manifest) {
-        let s = ArtifactStore::new(&cfg.dir).with_metrics(metrics.clone());
+        // No registry on the store: its quarantine reaches the registry as
+        // `artifact_quarantine`, in the end-of-run fold.
+        let s = ArtifactStore::new(&cfg.dir);
         if let Ok(load) = s.load(&cfg.key) {
             if load.quarantined {
                 stats.artifact_quarantine += 1;
@@ -711,18 +594,6 @@ pub fn verify_compiled(
         // at the end of the run surfaces persistent I/O problems.
         store = Some(s);
     }
-    if stats.reverify_defs_skipped > 0 {
-        metrics.add(
-            Counter::ReverifyDefsSkipped,
-            stats.reverify_defs_skipped as u64,
-        );
-    }
-    if stats.reverify_preds_seeded > 0 {
-        metrics.add(
-            Counter::ReverifyPredsSeeded,
-            stats.reverify_preds_seeded as u64,
-        );
-    }
     // Evidence accumulators, filled where the facts are produced: predicate
     // provenance as refinement installs predicates, and — at a Safe verdict
     // — the model checker's saturated invariant. The export pass after the
@@ -738,8 +609,8 @@ pub fn verify_compiled(
         for iteration in 0..opts.max_iterations {
             // One record per CEGAR iteration, even for exhausted/faulted
             // iterations: snapshot the monotone counters, run the iteration
-            // (partial telemetry survives a panic via `IterRecord`), then
-            // emit the deltas.
+            // (partial telemetry survives a panic via `IterRecord`), absorb
+            // its counters into the run, then emit the deltas.
             stats.cycles = iteration + 1;
             let iter_start = Instant::now();
             mem::window_reset();
@@ -750,14 +621,6 @@ pub fn verify_compiled(
                 (0, 0, 0, 0)
             };
             let mut rec = IterRecord::default();
-            if iteration == 0 && stats.retries == 0 {
-                // Cross-run seeding happened once, before the loop; credit
-                // it to the first iteration's record so the trace carries it
-                // (and an escalation retry does not re-report it).
-                rec.reverify_defs_skipped = stats.reverify_defs_skipped;
-                rec.reverify_preds_seeded = stats.reverify_preds_seeded;
-                rec.artifact_quarantine = stats.artifact_quarantine;
-            }
             let outcome = trap_panics(|| {
                 run_iteration(
                     compiled,
@@ -777,6 +640,7 @@ pub fn verify_compiled(
                     &mut safe_inv,
                 )
             });
+            stats.absorb(&rec.counts);
             metrics.observe_dur(Hist::IterUs, iter_start);
             metrics.observe(Hist::HbpRules, rec.hbp_rules as u64);
             metrics.observe(Hist::HbpTerms, rec.hbp_terms as u64);
@@ -785,6 +649,25 @@ pub fn verify_compiled(
                 let cs = cache.stats();
                 let tag = outcome_tag(&outcome);
                 let by_fun = preds_by_binding(&env);
+                // Set after the absorb: the record reports these, but the run
+                // already holds them in full.
+                if iteration == 0 && stats.retries == 0 {
+                    // Cross-run seeding happened once, before the loop; credit
+                    // it to the first iteration's record so the trace carries
+                    // it (and an escalation retry does not re-report it).
+                    rec.counts.reverify_defs_skipped = stats.reverify_defs_skipped;
+                    rec.counts.reverify_preds_seeded = stats.reverify_preds_seeded;
+                    rec.counts.artifact_quarantine = stats.artifact_quarantine;
+                }
+                rec.counts.fm_prefix_hits = cs.rat_hits - rat_hits0;
+                // Memory accounting is all-zero without the counting
+                // allocator (test harness). Heap watermarks are wall-like —
+                // they shift with argv length and ambient allocator state —
+                // so the logical clock omits them the same way it zeroes
+                // durations.
+                if !tracer.is_logical() {
+                    rec.counts.peak_bytes = mem::window_peak();
+                }
                 tracer.emit("iter", |e| {
                     e.num("iter", iteration as u64)
                         .str("outcome", tag)
@@ -793,8 +676,8 @@ pub fn verify_compiled(
                         .num("hbp_rules", rec.hbp_rules as u64)
                         .num("hbp_terms", rec.hbp_terms as u64)
                         .num("typings", rec.typings as u64)
-                        .num("pops", rec.pops as u64)
-                        .num("rescans", rec.rescans as u64)
+                        .num("pops", rec.counts.worklist_pops as u64)
+                        .num("rescans", rec.counts.rescans_avoided as u64)
                         .num("cex_len", rec.cex_len as u64)
                         .num("new_interp", rec.new_interp as u64)
                         .num("new_seeded", rec.new_seeded as u64)
@@ -805,61 +688,14 @@ pub fn verify_compiled(
                         .num("cache_misses", cs.misses() - misses0)
                         .num("fuel", budget.fuel_used() - fuel0)
                         .num("dur_us", tracer.dur_us(iter_start));
-                    // Fast-path counters postdate the golden traces: emit
-                    // them only when nonzero so unaffected runs stay
-                    // byte-identical.
-                    if rec.cuts_sliced > 0 {
-                        e.num("cuts_sliced", rec.cuts_sliced as u64);
-                    }
-                    if rec.cert_reuse_hits > 0 {
-                        e.num("cert_reuse_hits", rec.cert_reuse_hits as u64);
-                    }
-                    // Incremental-abstraction counters, same nonzero-only
-                    // policy (they postdate the golden traces too).
-                    if rec.abs_defs_reused > 0 {
-                        e.num("abs_defs_reused", rec.abs_defs_reused as u64);
-                    }
-                    if rec.abs_defs_rebuilt > 0 {
-                        e.num("abs_defs_rebuilt", rec.abs_defs_rebuilt as u64);
-                    }
-                    if rec.abs_implicants > 0 {
-                        e.num("abs_implicants", rec.abs_implicants as u64);
-                    }
-                    if rec.abs_queries_saved > 0 {
-                        e.num("abs_queries_saved", rec.abs_queries_saved as u64);
-                    }
-                    if rec.abs_ctx_truncated > 0 {
-                        e.num("abs_ctx_truncated", rec.abs_ctx_truncated as u64);
-                    }
-                    // Dead-predicate census, same nonzero-only policy (it
-                    // postdates the golden traces).
-                    if rec.preds_dead > 0 {
-                        e.num("preds_dead", rec.preds_dead);
-                    }
-                    // Cross-run seeding counters (first iteration only),
-                    // same nonzero-only policy: cold runs and artifact-free
-                    // runs emit byte-identical iter events.
-                    if rec.reverify_defs_skipped > 0 {
-                        e.num("reverify_defs_skipped", rec.reverify_defs_skipped as u64);
-                    }
-                    if rec.reverify_preds_seeded > 0 {
-                        e.num("reverify_preds_seeded", rec.reverify_preds_seeded as u64);
-                    }
-                    if rec.artifact_quarantine > 0 {
-                        e.num("artifact_quarantine", rec.artifact_quarantine);
-                    }
-                    if cs.rat_hits > rat_hits0 {
-                        e.num("fm_prefix_hits", cs.rat_hits - rat_hits0);
-                    }
-                    // Memory accounting postdates the golden traces and is
-                    // all-zero without the counting allocator (test
-                    // harness): emit only when the window saw real bytes.
-                    // Heap watermarks are wall-like — they shift with argv
-                    // length and ambient allocator state — so the logical
-                    // clock omits them the same way it zeroes durations.
-                    let win_peak = mem::window_peak();
-                    if win_peak > 0 && !tracer.is_logical() {
-                        e.num("peak_bytes", win_peak);
+                    // The counters postdate the golden traces: emit them
+                    // only when nonzero so unaffected runs stay
+                    // byte-identical. The head above already carries the
+                    // worklist pair, under its historical `pops`/`rescans`.
+                    for (name, v) in rec.counts.counters() {
+                        if v > 0 && !matches!(name, "worklist_pops" | "rescans_avoided") {
+                            e.num(name, v);
+                        }
                     }
                 });
             }
@@ -967,9 +803,6 @@ pub fn verify_compiled(
             evidence = Some(ev);
         }
     }
-    if stats.preds_dead > 0 {
-        metrics.add(Counter::PredsDead, stats.preds_dead);
-    }
     stats.total = start.elapsed();
     stats.predicates = env.fingerprint();
     stats.peak_bytes = mem::peak_bytes();
@@ -983,6 +816,7 @@ pub fn verify_compiled(
     stats.cache_misses = cs.misses();
     stats.fm_prefix_hits = cs.rat_hits;
     stats.disk_hits = cs.disk_hits;
+    stats.fold_into(&metrics);
     // Publish the artifact for the *next* run, but only on a decisive
     // verdict: an `Unknown` environment is mid-refinement noise, and
     // persisting it could keep a bad seed alive across edits. Seeded
@@ -1096,18 +930,12 @@ fn run_iteration(
     span("abs", t);
     let bp = match abs_result {
         Ok((bp, abs_stats)) => {
-            stats.smt_queries += abs_stats.sat_queries;
             rec.abs_queries = abs_stats.sat_queries;
-            rec.abs_defs_reused = abs_stats.defs_reused;
-            rec.abs_defs_rebuilt = abs_stats.defs_rebuilt;
-            rec.abs_implicants = abs_stats.implicants;
-            rec.abs_queries_saved = abs_stats.queries_saved;
-            rec.abs_ctx_truncated = abs_stats.ctx_truncated;
-            stats.abs_defs_reused += abs_stats.defs_reused;
-            stats.abs_defs_rebuilt += abs_stats.defs_rebuilt;
-            stats.abs_implicants += abs_stats.implicants;
-            stats.abs_queries_saved += abs_stats.queries_saved;
-            stats.abs_ctx_truncated += abs_stats.ctx_truncated;
+            rec.counts.abs_defs_reused = abs_stats.defs_reused;
+            rec.counts.abs_defs_rebuilt = abs_stats.defs_rebuilt;
+            rec.counts.abs_implicants = abs_stats.implicants;
+            rec.counts.abs_queries_saved = abs_stats.queries_saved;
+            rec.counts.abs_ctx_truncated = abs_stats.ctx_truncated;
             bp
         }
         Err(AbsError::Exhausted(e)) => return unknown(UnknownReason::Budget(e)),
@@ -1118,11 +946,12 @@ fn run_iteration(
     stats.final_hbp_size = bp.size();
     rec.hbp_rules = bp.defs.len();
     rec.hbp_terms = bp.size();
-    // Dead-predicate census for this iteration's abstraction; the run-level
-    // stat keeps the *final* iteration's value (the census of the winning
-    // environment against the winning boolean program).
-    rec.preds_dead = dead_predicates(env, &bp);
-    stats.preds_dead = rec.preds_dead;
+    // Dead-predicate census for this iteration's abstraction. The run-level
+    // stat keeps the *final* census (the winning environment against the
+    // winning boolean program), not a sum: clear the previous one before
+    // the loop absorbs this iteration's record.
+    rec.counts.preds_dead = dead_predicates(env, &bp);
+    stats.preds_dead = 0;
 
     // Step 2: higher-order model checking.
     pstart("mc");
@@ -1138,11 +967,9 @@ fn run_iteration(
         checker.set_metrics(solver.metrics().clone());
         let saturated = checker.saturate();
         let cs = checker.stats();
-        stats.worklist_pops += cs.worklist_pops;
-        stats.rescans_avoided += cs.rescans_avoided;
         rec.typings = cs.typings;
-        rec.pops = cs.worklist_pops;
-        rec.rescans = cs.rescans_avoided;
+        rec.counts.worklist_pops = cs.worklist_pops;
+        rec.counts.rescans_avoided = cs.rescans_avoided;
         saturated?;
         if !checker.may_fail() {
             safe_checker = Some(checker);
@@ -1259,10 +1086,8 @@ fn run_iteration(
             rec.new_seeded = refinement.seeded;
             rec.new_ho = refinement.ho_updates.len();
             rec.interp_size_max = refinement.max_interp_size;
-            rec.cuts_sliced = refinement.cuts_sliced;
-            rec.cert_reuse_hits = refinement.cert_reuse_hits;
-            stats.cuts_sliced += refinement.cuts_sliced;
-            stats.cert_reuse_hits += refinement.cert_reuse_hits;
+            rec.counts.cuts_sliced = refinement.cuts_sliced;
+            rec.counts.cert_reuse_hits = refinement.cert_reuse_hits;
             if !changed {
                 unknown(UnknownReason::NoProgress)
             } else {

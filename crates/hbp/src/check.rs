@@ -901,16 +901,7 @@ fn dedup(v: &mut Vec<Reqs>) {
 
 /// Convenience wrapper: saturate and report whether `main` may fail.
 pub fn model_check(program: &BProgram, limits: CheckLimits) -> Result<(bool, CheckStats), CheckError> {
-    model_check_budgeted(program, limits, Budget::unlimited())
-}
-
-/// [`model_check`] under a shared [`Budget`].
-pub fn model_check_budgeted(
-    program: &BProgram,
-    limits: CheckLimits,
-    budget: &Budget,
-) -> Result<(bool, CheckStats), CheckError> {
-    let mut c = Checker::with_budget(program, limits, budget)?;
+    let mut c = Checker::with_budget(program, limits, Budget::unlimited())?;
     c.saturate()?;
     Ok((c.may_fail(), c.stats()))
 }

@@ -58,7 +58,7 @@ pub mod path;
 
 pub use ast::{source_labels, BDef, BExpr, BProgram, BTy, BVal, BoolExpr, FunName, Label, PathLabel};
 pub use check::{
-    model_check, model_check_budgeted, ArgReq, ArrowTy, Bits, CheckError, CheckLimits, CheckStats,
-    Checker, Gamma, Typing,
+    model_check, ArgReq, ArrowTy, Bits, CheckError, CheckLimits, CheckStats, Checker, Gamma,
+    Typing,
 };
 pub use path::find_error_path;

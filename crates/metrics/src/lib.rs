@@ -37,217 +37,158 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Monotone event counters, one slot per variant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Counter {
-    /// Queries the SMT solver actually solved (cache misses + uncached).
-    SmtSolves,
-    /// Interpolation cut points that produced a non-trivial interpolant.
-    InterpCuts,
-    /// Model-checker worklist batches drained.
-    McRounds,
-    /// Definitions abstracted (every definition of every iteration).
-    AbsDefs,
-    /// Batch jobs that ran to a verdict (any verdict, including `Unknown`).
-    JobsDone,
-    /// Batch job attempts re-queued after retryable exhaustion.
-    JobsRetried,
-    /// Batch jobs degraded to `Unknown` (panic, exhaustion, cancellation).
-    JobsUnknown,
-    /// Query-cache hits answered from the persistent disk tier.
-    DiskHits,
-    /// Disk-cache records or segments rejected by an integrity check.
-    DiskQuarantine,
-    /// Definitions whose abstraction was reused verbatim from the
-    /// transition memo (cone fingerprint unchanged since the last build).
-    AbsDefsReused,
-    /// Definitions re-abstracted because a prior memo entry's cone
-    /// fingerprint changed (first-time builds count neither way).
-    AbsDefsRebuilt,
-    /// Feasible implicants emitted by the model-guided enumeration.
-    AbsImplicants,
-    /// SMT queries avoided by incremental abstraction: prefix probes
-    /// answered by an already-found model plus the recorded cost of every
-    /// memo-reused definition.
-    AbsQueriesSaved,
-    /// Relevant context components dropped by the `max_context_atoms` cap
-    /// while selecting guard predicates (a precision, not soundness, loss).
-    AbsCtxTruncated,
-    /// Run-ledger segments or records rejected by an integrity check.
-    LedgerQuarantine,
-    /// Definitions whose abstraction was replayed from a prior run's
-    /// persisted artifact (cross-run incremental re-verification).
-    ReverifyDefsSkipped,
-    /// Predicates seeded into the initial environment from a prior run's
-    /// winning predicate environment.
-    ReverifyPredsSeeded,
-    /// Artifact-store files rejected by an integrity check and quarantined
-    /// (the run degrades to the cold path).
-    ArtifactQuarantine,
-    /// Verdict-evidence files emitted (one per decisive run with an
-    /// evidence directory configured).
-    EvidenceEmitted,
-    /// Independent evidence checks that validated their verdict.
-    CheckPass,
-    /// Independent evidence checks that rejected their evidence.
-    CheckFail,
-    /// Predicate-scheme components of the final environment never projected
-    /// by the final boolean program (dead predicates).
-    PredsDead,
+/// Declares the registry: one row per [`Counter`] and one per [`Hist`],
+/// each giving the variant (with its doc), the stable display name used by
+/// `--stats`, the diff tools and Prometheus, and the one-line `# HELP`
+/// text. The enums, [`COUNTERS`], [`HISTS`], `name()` and `help()` are all
+/// generated from these rows, so adding a metric means adding one row.
+macro_rules! registry {
+    (
+        counters { $( $(#[doc = $cdoc:literal])* $c:ident => $cname:literal, $chelp:literal; )* }
+        hists { $( $(#[doc = $hdoc:literal])* $h:ident => $hname:literal, $hhelp:literal; )* }
+    ) => {
+        /// Monotone event counters, one slot per variant.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter {
+            $( $(#[doc = $cdoc])* $c, )*
+        }
+
+        /// All counters, in display order.
+        pub const COUNTERS: [Counter; [$(Counter::$c),*].len()] = [$(Counter::$c),*];
+
+        impl Counter {
+            const fn index(self) -> usize {
+                self as usize
+            }
+
+            /// The stable display name (used by `--stats` and the diff tools).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( Counter::$c => $cname, )*
+                }
+            }
+
+            /// One-line description, used as the Prometheus `# HELP` text.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $( Counter::$c => $chelp, )*
+                }
+            }
+        }
+
+        /// Log₂-bucketed histograms, one slot per variant.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Hist {
+            $( $(#[doc = $hdoc])* $h, )*
+        }
+
+        /// All histograms, in display order.
+        pub const HISTS: [Hist; [$(Hist::$h),*].len()] = [$(Hist::$h),*];
+
+        impl Hist {
+            const fn index(self) -> usize {
+                self as usize
+            }
+
+            /// The stable display name (used by `--stats` and the diff tools).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( Hist::$h => $hname, )*
+                }
+            }
+
+            /// One-line description, used as the Prometheus `# HELP` text.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $( Hist::$h => $hhelp, )*
+                }
+            }
+        }
+    };
 }
 
-/// All counters, in display order.
-pub const COUNTERS: [Counter; 22] = [
-    Counter::SmtSolves,
-    Counter::InterpCuts,
-    Counter::McRounds,
-    Counter::AbsDefs,
-    Counter::JobsDone,
-    Counter::JobsRetried,
-    Counter::JobsUnknown,
-    Counter::DiskHits,
-    Counter::DiskQuarantine,
-    Counter::AbsDefsReused,
-    Counter::AbsDefsRebuilt,
-    Counter::AbsImplicants,
-    Counter::AbsQueriesSaved,
-    Counter::AbsCtxTruncated,
-    Counter::LedgerQuarantine,
-    Counter::ReverifyDefsSkipped,
-    Counter::ReverifyPredsSeeded,
-    Counter::ArtifactQuarantine,
-    Counter::EvidenceEmitted,
-    Counter::CheckPass,
-    Counter::CheckFail,
-    Counter::PredsDead,
-];
-
-impl Counter {
-    const fn index(self) -> usize {
-        self as usize
+registry! {
+    counters {
+        /// Queries the SMT solver actually solved (cache misses + uncached).
+        SmtSolves => "smt_solves", "Queries the SMT solver actually solved";
+        /// Interpolation cut points that produced a non-trivial interpolant.
+        InterpCuts => "interp_cuts", "Interpolation cuts with a non-trivial interpolant";
+        /// Model-checker worklist batches drained.
+        McRounds => "mc_rounds", "Model-checker worklist batches drained";
+        /// Definitions abstracted (every definition of every iteration).
+        AbsDefs => "abs_defs", "Definitions abstracted across all iterations";
+        /// Batch jobs that ran to a verdict (any verdict, including `Unknown`).
+        JobsDone => "jobs_done", "Batch jobs that ran to a verdict";
+        /// Batch job attempts re-queued after retryable exhaustion.
+        JobsRetried => "jobs_retried", "Batch job attempts re-queued after retryable exhaustion";
+        /// Batch jobs degraded to `Unknown` (panic, exhaustion, cancellation).
+        JobsUnknown => "jobs_unknown", "Batch jobs degraded to unknown";
+        /// Query-cache hits answered from the persistent disk tier.
+        DiskHits => "disk_hits", "Query-cache hits answered from the disk tier";
+        /// Disk-cache records or segments rejected by an integrity check.
+        DiskQuarantine => "disk_quarantine",
+            "Disk-cache records or segments rejected by integrity checks";
+        /// Definitions whose abstraction was reused verbatim from the
+        /// transition memo (cone fingerprint unchanged since the last build).
+        AbsDefsReused => "abs_defs_reused", "Definitions reused verbatim from the transition memo";
+        /// Definitions re-abstracted because a prior memo entry's cone
+        /// fingerprint changed (first-time builds count neither way).
+        AbsDefsRebuilt => "abs_defs_rebuilt",
+            "Definitions re-abstracted after a cone fingerprint change";
+        /// Feasible implicants emitted by the model-guided enumeration.
+        AbsImplicants => "abs_implicants", "Feasible implicants from model-guided enumeration";
+        /// SMT queries avoided by incremental abstraction: prefix probes
+        /// answered by an already-found model plus the recorded cost of every
+        /// memo-reused definition.
+        AbsQueriesSaved => "abs_queries_saved", "SMT queries avoided by incremental abstraction";
+        /// Relevant context components dropped by the `max_context_atoms` cap
+        /// while selecting guard predicates (a precision, not soundness, loss).
+        AbsCtxTruncated => "abs_ctx_truncated",
+            "Context components dropped by the context-atom cap";
+        /// Run-ledger segments or records rejected by an integrity check.
+        LedgerQuarantine => "ledger_quarantine",
+            "Run-ledger segments or records rejected by integrity checks";
+        /// Definitions whose abstraction was replayed from a prior run's
+        /// persisted artifact (cross-run incremental re-verification).
+        ReverifyDefsSkipped => "reverify_defs_skipped",
+            "Definitions replayed from a prior run's persisted artifact";
+        /// Predicates seeded into the initial environment from a prior run's
+        /// winning predicate environment.
+        ReverifyPredsSeeded => "reverify_preds_seeded",
+            "Predicates seeded from a prior run's winning environment";
+        /// Artifact-store files rejected by an integrity check and quarantined
+        /// (the run degrades to the cold path).
+        ArtifactQuarantine => "artifact_quarantine",
+            "Artifact-store files rejected by integrity checks and quarantined";
+        /// Verdict-evidence files emitted (one per decisive run with an
+        /// evidence directory configured).
+        EvidenceEmitted => "evidence_emitted", "Verdict-evidence files emitted";
+        /// Independent evidence checks that validated their verdict.
+        CheckPass => "check_pass", "Independent evidence checks that validated their verdict";
+        /// Independent evidence checks that rejected their evidence.
+        CheckFail => "check_fail", "Independent evidence checks that rejected their evidence";
+        /// Predicate-scheme components of the final environment never projected
+        /// by the final boolean program (dead predicates).
+        PredsDead => "preds_dead",
+            "Final-environment predicate components never projected by the final boolean program";
     }
-
-    /// The stable display name (used by `--stats` and the diff tools).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::SmtSolves => "smt_solves",
-            Counter::InterpCuts => "interp_cuts",
-            Counter::McRounds => "mc_rounds",
-            Counter::AbsDefs => "abs_defs",
-            Counter::JobsDone => "jobs_done",
-            Counter::JobsRetried => "jobs_retried",
-            Counter::JobsUnknown => "jobs_unknown",
-            Counter::DiskHits => "disk_hits",
-            Counter::DiskQuarantine => "disk_quarantine",
-            Counter::AbsDefsReused => "abs_defs_reused",
-            Counter::AbsDefsRebuilt => "abs_defs_rebuilt",
-            Counter::AbsImplicants => "abs_implicants",
-            Counter::AbsQueriesSaved => "abs_queries_saved",
-            Counter::AbsCtxTruncated => "abs_ctx_truncated",
-            Counter::LedgerQuarantine => "ledger_quarantine",
-            Counter::ReverifyDefsSkipped => "reverify_defs_skipped",
-            Counter::ReverifyPredsSeeded => "reverify_preds_seeded",
-            Counter::ArtifactQuarantine => "artifact_quarantine",
-            Counter::EvidenceEmitted => "evidence_emitted",
-            Counter::CheckPass => "check_pass",
-            Counter::CheckFail => "check_fail",
-            Counter::PredsDead => "preds_dead",
-        }
-    }
-
-    /// One-line description, used as the Prometheus `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            Counter::SmtSolves => "Queries the SMT solver actually solved",
-            Counter::InterpCuts => "Interpolation cuts with a non-trivial interpolant",
-            Counter::McRounds => "Model-checker worklist batches drained",
-            Counter::AbsDefs => "Definitions abstracted across all iterations",
-            Counter::JobsDone => "Batch jobs that ran to a verdict",
-            Counter::JobsRetried => "Batch job attempts re-queued after retryable exhaustion",
-            Counter::JobsUnknown => "Batch jobs degraded to unknown",
-            Counter::DiskHits => "Query-cache hits answered from the disk tier",
-            Counter::DiskQuarantine => "Disk-cache records or segments rejected by integrity checks",
-            Counter::AbsDefsReused => "Definitions reused verbatim from the transition memo",
-            Counter::AbsDefsRebuilt => "Definitions re-abstracted after a cone fingerprint change",
-            Counter::AbsImplicants => "Feasible implicants from model-guided enumeration",
-            Counter::AbsQueriesSaved => "SMT queries avoided by incremental abstraction",
-            Counter::AbsCtxTruncated => "Context components dropped by the context-atom cap",
-            Counter::LedgerQuarantine => "Run-ledger segments or records rejected by integrity checks",
-            Counter::ReverifyDefsSkipped => "Definitions replayed from a prior run's persisted artifact",
-            Counter::ReverifyPredsSeeded => "Predicates seeded from a prior run's winning environment",
-            Counter::ArtifactQuarantine => "Artifact-store files rejected by integrity checks and quarantined",
-            Counter::EvidenceEmitted => "Verdict-evidence files emitted",
-            Counter::CheckPass => "Independent evidence checks that validated their verdict",
-            Counter::CheckFail => "Independent evidence checks that rejected their evidence",
-            Counter::PredsDead => "Final-environment predicate components never projected by the final boolean program",
-        }
-    }
-}
-
-/// Log₂-bucketed histograms, one slot per variant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Hist {
-    /// Latency of solved SMT queries, in microseconds.
-    SmtSolveUs,
-    /// Latency of one definition's abstraction task, in microseconds.
-    AbsDefUs,
-    /// Latency of one whole CEGAR iteration, in microseconds.
-    IterUs,
-    /// AST size (formula nodes) of discovered interpolants.
-    InterpSize,
-    /// Boolean-program rule count per iteration (rule-set growth).
-    HbpRules,
-    /// Boolean-program AST size per iteration.
-    HbpTerms,
-    /// Model-checker worklist batch size at each drain.
-    WorklistDepth,
-    /// Wall-clock latency of one batch job attempt, in microseconds.
-    JobUs,
-}
-
-/// All histograms, in display order.
-pub const HISTS: [Hist; 8] = [
-    Hist::SmtSolveUs,
-    Hist::AbsDefUs,
-    Hist::IterUs,
-    Hist::InterpSize,
-    Hist::HbpRules,
-    Hist::HbpTerms,
-    Hist::WorklistDepth,
-    Hist::JobUs,
-];
-
-impl Hist {
-    const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// The stable display name (used by `--stats` and the diff tools).
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::SmtSolveUs => "smt_solve_us",
-            Hist::AbsDefUs => "abs_def_us",
-            Hist::IterUs => "iter_us",
-            Hist::InterpSize => "interp_size",
-            Hist::HbpRules => "hbp_rules",
-            Hist::HbpTerms => "hbp_terms",
-            Hist::WorklistDepth => "worklist_depth",
-            Hist::JobUs => "job_us",
-        }
-    }
-
-    /// One-line description, used as the Prometheus `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            Hist::SmtSolveUs => "Latency of solved SMT queries in microseconds",
-            Hist::AbsDefUs => "Latency of one definition's abstraction task in microseconds",
-            Hist::IterUs => "Latency of one whole CEGAR iteration in microseconds",
-            Hist::InterpSize => "AST size of discovered interpolants",
-            Hist::HbpRules => "Boolean-program rule count per iteration",
-            Hist::HbpTerms => "Boolean-program AST size per iteration",
-            Hist::WorklistDepth => "Model-checker worklist batch size at each drain",
-            Hist::JobUs => "Wall-clock latency of one batch job attempt in microseconds",
-        }
+    hists {
+        /// Latency of solved SMT queries, in microseconds.
+        SmtSolveUs => "smt_solve_us", "Latency of solved SMT queries in microseconds";
+        /// Latency of one definition's abstraction task, in microseconds.
+        AbsDefUs => "abs_def_us", "Latency of one definition's abstraction task in microseconds";
+        /// Latency of one whole CEGAR iteration, in microseconds.
+        IterUs => "iter_us", "Latency of one whole CEGAR iteration in microseconds";
+        /// AST size (formula nodes) of discovered interpolants.
+        InterpSize => "interp_size", "AST size of discovered interpolants";
+        /// Boolean-program rule count per iteration (rule-set growth).
+        HbpRules => "hbp_rules", "Boolean-program rule count per iteration";
+        /// Boolean-program AST size per iteration.
+        HbpTerms => "hbp_terms", "Boolean-program AST size per iteration";
+        /// Model-checker worklist batch size at each drain.
+        WorklistDepth => "worklist_depth", "Model-checker worklist batch size at each drain";
+        /// Wall-clock latency of one batch job attempt, in microseconds.
+        JobUs => "job_us", "Wall-clock latency of one batch job attempt in microseconds";
     }
 }
 

@@ -86,9 +86,10 @@ test -s "$PROFILE_SMOKE"
 
 # Batch smoke: the crash-safe fleet path end to end. A cold `homc batch`
 # run populates the persistent cache; a warm rerun must (a) answer queries
-# from disk (nonzero disk hits), (b) reproduce the cold run's verdicts
-# exactly, (c) publish nothing, and (d) report the same per-job hits with
-# 1 worker as with 4. Then a deterministic two-byte payload corruption (dd at a fixed
+# from disk (nonzero disk hits, and the same count in its --metrics-out
+# dump), (b) reproduce the cold run's verdicts exactly, (c) publish
+# nothing, and (d) report the same per-job hits with 1 worker as with 4.
+# Then a deterministic two-byte payload corruption (dd at a fixed
 # offset inside the first record) must be quarantined while the verdicts
 # still hold — a byte flip may cost cache hits, never correctness.
 BATCH_CACHE=target/batch-cache
@@ -99,12 +100,20 @@ BATCH_PROGRAMS=(sum max mult mc91)
 rm -rf "$BATCH_CACHE"
 run cargo run --release --offline --bin homc -- batch --workers 4 \
     --cache-dir "$BATCH_CACHE" "${BATCH_PROGRAMS[@]}" | tee "$BATCH_COLD"
+BATCH_WARM_PROM=target/batch-warm.prom
 run cargo run --release --offline --bin homc -- batch --workers 4 \
-    --cache-dir "$BATCH_CACHE" "${BATCH_PROGRAMS[@]}" | tee "$BATCH_WARM"
+    --cache-dir "$BATCH_CACHE" --metrics-out "$BATCH_WARM_PROM" "${BATCH_PROGRAMS[@]}" \
+    | tee "$BATCH_WARM"
 verdicts() { sed -n 's/^\([a-zA-Z0-9_-]*\) *wall=[0-9.]* -> \(.*\)$/\1 \2/p' "$1"; }
 HITS=$(sed -n 's/.*disk hits \([0-9]*\).*/\1/p' "$BATCH_WARM")
 if [ "${HITS:-0}" -eq 0 ]; then
     echo "tier1: batch-smoke: warm rerun reported no disk-cache hits" >&2
+    exit 1
+fi
+# The metrics registry must see the same disk hits the run reports.
+PROM_HITS=$(sed -n 's/^homc_disk_hits_total \([0-9]*\)$/\1/p' "$BATCH_WARM_PROM")
+if [ "${PROM_HITS:-0}" -eq 0 ] || [ "$PROM_HITS" -ne "$HITS" ]; then
+    echo "tier1: batch-smoke: homc_disk_hits_total ${PROM_HITS:-missing} != disk hits $HITS" >&2
     exit 1
 fi
 if ! cmp -s <(verdicts "$BATCH_COLD") <(verdicts "$BATCH_WARM"); then

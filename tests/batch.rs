@@ -6,12 +6,16 @@
 //! The warm tests drive the shared disk tier at full-suite size: per-job
 //! hit counts do not depend on the worker count, a warm rerun publishes
 //! nothing, and a partly warm run never re-publishes a record already on
-//! disk.
+//! disk. The metrics registry's disk-hit and unknown-job counters equal
+//! the report's own totals.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use homc::{run_batch, suite, BatchJob, BatchOptions, BatchReport, JobFault, JobStatus, SUITE};
+use homc::{
+    run_batch, suite, BatchJob, BatchOptions, BatchReport, Counter, JobFault, JobStatus, Metrics,
+    SUITE,
+};
 
 fn job(name: &str) -> BatchJob {
     let p = suite::find(name).expect("suite program");
@@ -237,4 +241,37 @@ fn partly_warm_batch_never_republishes_disk_records() {
         "{shared} record(s) already on disk were published again"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn registry_counters_match_the_batch_report() {
+    // Warm: the registry's disk hits are the report's own total.
+    let dir = tmpdir("registry");
+    let small = || {
+        ["intro1", "intro2", "mc91"]
+            .into_iter()
+            .map(job)
+            .collect::<Vec<_>>()
+    };
+    run_batch(small(), &cached(&dir, 2)).expect("cold batch");
+    let mut opts = cached(&dir, 2);
+    opts.verify.metrics = Metrics::new(false);
+    let warm = run_batch(small(), &opts).expect("warm batch");
+    let snap = opts.verify.metrics.snapshot();
+    assert!(warm.disk_hits > 0, "warm batch must hit the disk tier");
+    assert_eq!(snap.counter(Counter::DiskHits), warm.disk_hits);
+    assert_eq!(snap.counter(Counter::JobsUnknown), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Deadline: every job settles as unknown, and the registry says so.
+    let mut opts = BatchOptions {
+        workers: 2,
+        ..BatchOptions::default()
+    };
+    opts.verify.timeout = Some(std::time::Duration::from_nanos(1));
+    opts.verify.metrics = Metrics::new(false);
+    let late = run_batch(vec![job("intro1"), job("mc91")], &opts).expect("batch terminates");
+    assert_eq!(late.unknown, 2);
+    let snap = opts.verify.metrics.snapshot();
+    assert_eq!(snap.counter(Counter::JobsUnknown), late.unknown as u64);
 }
