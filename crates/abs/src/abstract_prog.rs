@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use homc_budget::{Budget, BudgetError, Phase};
 use homc_hbp::{BDef, BExpr, BProgram, BVal, BoolExpr};
-use homc_metrics::{Counter, Hist, Metrics};
+use homc_metrics::{mem, Counter, Hist, Metrics};
 use homc_trace::Tracer;
 use homc_lang::kernel::{Const, Def, Expr, FunName, Op, Program, Value};
 use homc_lang::types::SimpleTy;
@@ -277,9 +277,57 @@ pub fn abstract_program_with_oracle(
     abstract_all(program, env, opts, None, None, &tracer, &metrics, oracle)
 }
 
-/// The eager fan-out behind [`abstract_program_metered`] and
-/// [`abstract_program_with_oracle`]: every definition task, then the entry
-/// wrapper, stitched in definition order.
+/// Runs `task` on each definition index in `indices` and returns the
+/// `(index, result)` pairs in ascending index order. The tasks fan out over
+/// up to `opts.threads` scoped workers that claim indices from a shared
+/// counter; they run in order on the calling thread instead when one
+/// thread (or one index) would do, or when the budget has faults armed (a
+/// fault plan fires by call count, which only a fixed order keeps
+/// reproducible). A worker's panic is re-raised on the caller.
+pub(crate) fn fan_out<F>(
+    indices: &[usize],
+    opts: &AbsOptions,
+    budget: Option<&Budget>,
+    task: F,
+) -> Vec<(usize, DefResult)>
+where
+    F: Fn(usize) -> DefResult + Sync,
+{
+    let threads = opts.threads.clamp(1, indices.len().max(1));
+    if threads <= 1 || indices.len() < 2 || budget.is_some_and(Budget::has_faults) {
+        return indices.iter().map(|&i| (i, task(i))).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (next, task) = (&next, &task);
+    let inherit = mem::inherit();
+    let mut done: Vec<(usize, DefResult)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(move || {
+                    let _acct = inherit.enter();
+                    let mut local = Vec::new();
+                    while let Some(&i) = indices.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        local.push((i, task(i)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| match h.join() {
+                Ok(v) => v,
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect()
+    });
+    done.sort_by_key(|(i, _)| *i);
+    done
+}
+
+/// The eager abstraction behind [`abstract_program_metered`] and
+/// [`abstract_program_with_oracle`]: every definition task (through
+/// [`fan_out`]), then the entry wrapper, stitched in definition order.
 #[allow(clippy::too_many_arguments)]
 fn abstract_all(
     program: &Program,
@@ -292,10 +340,6 @@ fn abstract_all(
     oracle: Option<&SatOracleDyn<'_>>,
 ) -> Result<(BProgram, AbsStats), AbsError> {
     let n = program.defs.len();
-    let threads = opts.threads.clamp(1, n.max(1));
-    let sequential =
-        threads <= 1 || n < 2 || budget.as_deref().is_some_and(Budget::has_faults);
-
     let task = |ns: usize| -> DefResult {
         let (budget, cache) = (budget.clone(), cache.clone());
         abstract_task(
@@ -303,46 +347,10 @@ fn abstract_all(
         )
     };
 
-    let slots: Vec<DefResult> = if sequential {
-        (0..n).map(&task).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, DefResult)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, task(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut slots: Vec<DefResult> = (0..n)
-            .map(|_| Err(AbsError::invalid("definition task never ran")))
-            .collect();
-        for (i, r) in per_worker.into_iter().flatten() {
-            slots[i] = r;
-        }
-        slots
-    };
-
     let mut out = Vec::new();
     let mut stats = AbsStats::default();
-    for slot in slots {
+    let all: Vec<usize> = (0..n).collect();
+    for (_, slot) in fan_out(&all, opts, budget.as_deref(), task) {
         let (defs, s) = slot?;
         out.extend(defs);
         stats.absorb(&s);

@@ -27,7 +27,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use homc_budget::Budget;
@@ -38,7 +37,7 @@ use homc_smt::{QueryCache, Var};
 use homc_trace::{stable_hash64, Tracer};
 
 use crate::abstract_prog::{
-    abstract_task, AbsError, AbsOptions, AbsStats, DefResult,
+    abstract_task, fan_out, AbsError, AbsOptions, AbsStats, DefResult,
 };
 use crate::types::AbsEnv;
 
@@ -322,42 +321,7 @@ pub fn abstract_program_incremental(
         let (budget, cache) = (budget.clone(), cache.clone());
         abstract_task(program, env, opts, budget, cache, tracer, metrics, None, ns)
     };
-    let threads = opts.threads.clamp(1, rebuild.len().max(1));
-    let sequential = threads <= 1
-        || rebuild.len() < 2
-        || budget.as_deref().is_some_and(Budget::has_faults);
-    let results: Vec<(usize, DefResult)> = if sequential {
-        rebuild.iter().map(|&i| (i, task(i))).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, DefResult)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= rebuild.len() {
-                                break;
-                            }
-                            local.push((rebuild[k], task(rebuild[k])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut flat: Vec<(usize, DefResult)> = per_worker.into_iter().flatten().collect();
-        flat.sort_by_key(|(i, _)| *i);
-        flat
-    };
+    let results = fan_out(&rebuild, opts, budget.as_deref(), task);
 
     // Memoize every success first (a partially failed iteration still warms
     // the memo), then propagate the lowest-index error — the same error the

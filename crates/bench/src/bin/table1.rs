@@ -29,6 +29,9 @@ use homc_bench::{format_row, run_program, to_json};
 static COUNTING_ALLOC: homc_metrics::mem::CountingAlloc = homc_metrics::mem::CountingAlloc::new();
 
 fn main() -> ExitCode {
+    // Count this thread's heap traffic in a per-thread balance (see
+    // `homc_metrics::mem`); worker pools take the same scope.
+    let _acct = homc_metrics::mem::inherit().enter();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_path: Option<String> = None;
     let mut ledger_dir: Option<String> = None;

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use homc_abs::{AbsEnv, AbsTy, Predicate};
 use homc_budget::{Budget, BudgetError, Phase};
 use homc_lang::kernel::{FunName, Program};
-use homc_metrics::{Counter, Hist, Metrics};
+use homc_metrics::{mem, Counter, Hist, Metrics};
 use homc_smt::{
     interpolate_budgeted_cached, interpolate_sequence, Formula, InterpError, InterpOptions,
     QueryCache, SatResult, SmtSolver, Var,
@@ -563,10 +563,16 @@ fn fast_path(
         .checkpoint(Phase::Interp)
         .map_err(RefineError::Exhausted)?;
     let results: Vec<Result<Vec<Formula>, InterpError>> = if parallel_ok && jobs.len() >= 2 {
+        let inherit = mem::inherit();
         std::thread::scope(|s| {
             let handles: Vec<_> = jobs
                 .iter()
-                .map(|parts| s.spawn(move || interpolate_sequence(parts, opts, budget, cache)))
+                .map(|parts| {
+                    s.spawn(move || {
+                        let _acct = inherit.enter();
+                        interpolate_sequence(parts, opts, budget, cache)
+                    })
+                })
                 .collect();
             handles
                 .into_iter()

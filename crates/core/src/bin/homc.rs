@@ -1376,6 +1376,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    // Count this thread's heap traffic in a per-thread balance (see
+    // `homc_metrics::mem`); worker pools take the same scope.
+    let _acct = homc_metrics::mem::inherit().enter();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         return usage();

@@ -34,7 +34,7 @@ use homc_abs::{abstract_program_with_oracle, AbsOptions, EnumMode};
 use homc_hbp::{CheckLimits, Checker, Gamma};
 use homc_lang::eval::{run, Label, Outcome, ScriptDriver};
 use homc_lang::frontend;
-use homc_metrics::{Counter, Metrics};
+use homc_metrics::{mem, Counter, Metrics};
 use homc_serve::{Evidence, EvidenceVerdict, SafeEvidence};
 use homc_smt::{verify_unsat, Formula, SatResult};
 use homc_trace::stable_hash64;
@@ -127,17 +127,21 @@ fn check_safe(
         }
     } else {
         let next = std::sync::atomic::AtomicUsize::new(0);
+        let inherit = mem::inherit();
         std::thread::scope(|s| {
             for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= se.proofs.len() {
-                        break;
-                    }
-                    let (f, proof) = &se.proofs[i];
-                    if !verify_unsat(f, proof) {
-                        first_bad.fetch_min(i, std::sync::atomic::Ordering::Relaxed);
-                        break;
+                s.spawn(|| {
+                    let _acct = inherit.enter();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= se.proofs.len() {
+                            break;
+                        }
+                        let (f, proof) = &se.proofs[i];
+                        if !verify_unsat(f, proof) {
+                            first_bad.fetch_min(i, std::sync::atomic::Ordering::Relaxed);
+                            break;
+                        }
                     }
                 });
             }

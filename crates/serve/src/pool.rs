@@ -25,7 +25,7 @@ use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
 use homc_budget::CancelToken;
-use homc_metrics::{Counter, Hist, Metrics};
+use homc_metrics::{mem, Counter, Hist, Metrics};
 use homc_trace::Tracer;
 
 /// Retry policy for retryable exhaustion (deadline/fuel classes the budget
@@ -235,11 +235,15 @@ pub fn run_jobs<T: Send>(
     let done = AtomicBool::new(false);
     let progress = PoolProgress::new(&config.progress, n);
 
+    let inherit = mem::inherit();
     std::thread::scope(|scope| {
         let (running_ref, done_ref) = (&running, &done);
-        let monitor = config
-            .watchdog
-            .map(|limit| scope.spawn(move || watchdog(limit, running_ref, done_ref)));
+        let monitor = config.watchdog.map(|limit| {
+            scope.spawn(move || {
+                let _acct = inherit.enter();
+                watchdog(limit, running_ref, done_ref)
+            })
+        });
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let queues = &queues;
@@ -248,6 +252,7 @@ pub fn run_jobs<T: Send>(
                 let running = &running;
                 let progress = &progress;
                 scope.spawn(move || {
+                    let _acct = inherit.enter();
                     quiet_panics(|| {
                         while let Some(idx) = next_job(w, queues) {
                             let job = slots[idx]
