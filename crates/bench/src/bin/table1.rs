@@ -6,9 +6,10 @@
 //!
 //! With `--json <path>` the run also writes a machine-readable baseline:
 //! a `meta` header (schema version, suite name, thread count, clock mode —
-//! `homc bench-diff` refuses to compare baselines whose strict meta fields
-//! disagree), then one object per program (per-phase times and every run
-//! counter of `VerifyStats`, see [`homc_bench::to_json`]) plus suite-level
+//! `homc bench-diff` refuses to compare baselines whose suite or clock
+//! disagree, and compares different schemas on their shared fields), then
+//! one object per program (per-phase times and every run counter of
+//! `VerifyStats`, see [`homc_bench::to_json`]) plus suite-level
 //! aggregates. CI's bench-smoke stage gates on it with
 //! `homc bench-diff BENCH_table1.json <fresh> --gate`.
 //!
@@ -72,13 +73,6 @@ fn main() -> ExitCode {
     }
     println!("{}", "-".repeat(86));
     let total: f64 = rows.iter().map(|r| r.outcome.stats.total.as_secs_f64()).sum();
-    let warm: f64 = rows.iter().map(|r| r.warm_total_s).sum();
-    let disk_hits: u64 = rows.iter().map(|r| r.warm_disk_hits).sum();
-    let incr: f64 = rows.iter().map(|r| r.incr_total_s).sum();
-    let check: f64 = rows.iter().map(|r| r.check_s).sum();
-    println!("warm rerun {warm:.2}s via disk cache ({disk_hits} disk hits)");
-    println!("incr rerun {incr:.2}s via artifact store (single-literal edit resubmit)");
-    println!("evidence check {check:.2}s via independent certificate checker");
     println!(
         "total {total:.2}s; verdicts: {}",
         if all_ok {

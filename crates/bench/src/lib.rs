@@ -1,22 +1,22 @@
 //! `homc-bench`: the harness that regenerates the paper's Table 1.
 //!
-//! The binary `table1` prints, for each of the 28 benchmark programs, the
-//! same columns the paper reports — S (source words), O (order), C (CEGAR
+//! The binary `table1` prints, for each of the 30 suite programs, the same
+//! columns the paper reports — S (source words), O (order), C (CEGAR
 //! cycles), and the per-phase times `abst` / `mc` / `cegar` / `total` — side
-//! by side with the paper's published values, plus a verdict check. The
-//! Criterion benches (`benches/`) measure the same pipeline for stable
-//! statistics, and `benches/ablation.rs` quantifies the design choices
-//! called out in DESIGN.md.
+//! by side with the paper's published values, plus a verdict check. Each
+//! row runs exactly what `homc --suite <program>` runs (evidence, stores
+//! and caches off), so its counters equal that command's `--stats`. The
+//! plain timing benches (`benches/`) quantify the design choices called out
+//! in DESIGN.md; process-level timings of warm, edit-resubmit and
+//! certificate-check runs belong to `perfbench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use homc::{
-    check_evidence, parse_json, stable_hash64, suite::SuiteProgram, verify, ArtifactConfig,
-    DiskCache, EvidenceConfig, Expected, JsonValue, Metrics, QueryCache, Tracer, Verdict,
+    parse_json, suite::SuiteProgram, verify, Expected, JsonValue, Tracer, Verdict,
     VerifierOptions, VerifyOutcome, VerifyStats,
 };
 
@@ -37,25 +37,6 @@ pub struct Row {
     /// Peak boolean-program size (AST nodes) across iterations, from the
     /// trace layer's per-iteration `hbp_terms`.
     pub peak_hbp: usize,
-    /// CEGAR-loop seconds of a *warm* rerun: the cold run's query cache is
-    /// round-tripped through a temporary disk segment (exercising the full
-    /// persistence codec) and the program verified again against it.
-    pub warm_total_s: f64,
-    /// Lookups the warm rerun answered from disk-seeded entries.
-    pub warm_disk_hits: u64,
-    /// CEGAR-loop seconds of the *edit-resubmit* incremental rerun: a
-    /// seeding pass publishes the program's abstraction artifact to a
-    /// temporary store, one integer literal of the source is wrapped as
-    /// `(0 + k)` (semantics preserved, one definition's manifest cone
-    /// perturbed), and the edited program is verified against the store
-    /// with a fresh query cache. `0.0` when the rerun could not be
-    /// measured.
-    pub incr_total_s: f64,
-    /// Seconds the independent checker spent re-establishing the cold
-    /// run's verdict from its exported evidence certificate. `0.0` when
-    /// the run was undecided (no evidence to check); a check *failure*
-    /// fails the row's `verdict_ok` instead.
-    pub check_s: f64,
 }
 
 /// Distills `(iterations, peak HBP size)` from a run's trace.
@@ -77,44 +58,20 @@ fn trace_metrics(trace: &str) -> (usize, usize) {
 /// Runs one suite program and checks its verdict against the paper's. The
 /// run carries an in-memory tracer so the row can report iteration counts
 /// and peak HBP size; the overhead (a few dozen formatted events) is noise
-/// at the suite's time scales.
+/// at the suite's time scales, and the tracer never changes a counter.
 pub fn run_program(p: &SuiteProgram) -> Row {
     let tracer = Tracer::memory(false);
-    let cache = Arc::new(QueryCache::new());
     let opts = VerifierOptions {
         tracer: tracer.clone(),
-        cache: Some(cache.clone()),
-        evidence: Some(EvidenceConfig {
-            dir: None,
-            key: p.name.to_string(),
-            source_hash: stable_hash64(p.source),
-        }),
         ..VerifierOptions::default()
     };
     let outcome = verify(p.source, &opts).unwrap_or_else(|e| panic!("{}: {e}", p.name));
-    let mut verdict_ok = match p.expected {
+    let verdict_ok = match p.expected {
         Expected::Safe => outcome.verdict.is_safe(),
         Expected::Unsafe => outcome.verdict.is_unsafe(),
         Expected::Diverges => !outcome.verdict.is_unsafe(),
     };
-    // The independent checker must re-establish every decisive verdict
-    // from the exported certificate alone; a rejection fails the row.
-    let check_s = match &outcome.evidence {
-        Some(ev) => {
-            let t = std::time::Instant::now();
-            let ok = check_evidence(p.source, ev, &Metrics::disabled()).is_ok();
-            verdict_ok = verdict_ok && ok;
-            t.elapsed().as_secs_f64()
-        }
-        None => 0.0,
-    };
     let (iterations, peak_hbp) = trace_metrics(&tracer.snapshot().unwrap_or_default());
-    let (warm_total_s, warm_disk_hits) = warm_rerun(p, &cache);
-    // A verdict flip on the edit-resubmit path fails the row outright: the
-    // edit is semantics-preserving, so the incremental verdict must agree
-    // with the cold one.
-    let (incr_total_s, incr_ok) = incr_rerun(p, &outcome.verdict);
-    let verdict_ok = verdict_ok && incr_ok;
     Row {
         name: p.name,
         outcome,
@@ -122,125 +79,6 @@ pub fn run_program(p: &SuiteProgram) -> Row {
         paper_cycles: p.paper_cycles,
         iterations,
         peak_hbp,
-        warm_total_s,
-        warm_disk_hits,
-        incr_total_s,
-        check_s,
-    }
-}
-
-/// Wraps the *last* standalone integer literal `k` of `src` as `(0 + k)`.
-/// The value of every expression is unchanged, but the enclosing
-/// definition's body — and therefore its manifest cone hash — is not: this
-/// is the canonical "warm edit" a resubmitting user makes, a tweak at the
-/// use site (the suite programs end in their main expression, so the last
-/// literal perturbs only main's cone — editing an early literal instead
-/// lands inside the recursive workers whose predicates carry the proof,
-/// which is the degenerate case no incremental scheme can skip). Digit
-/// runs inside identifiers (`mc91`) are skipped. `None` when the source
-/// has no standalone literal.
-pub fn edit_one_literal(src: &str) -> Option<String> {
-    let b = src.as_bytes();
-    let is_word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
-    let mut last = None;
-    let mut i = 0;
-    while i < b.len() {
-        if b[i].is_ascii_digit() && (i == 0 || !is_word(b[i - 1])) {
-            let mut j = i;
-            while j < b.len() && b[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j == b.len() || !is_word(b[j]) {
-                last = Some((i, j));
-            }
-            i = j;
-        } else {
-            i += 1;
-        }
-    }
-    let (i, j) = last?;
-    Some(format!("{}(0 + {}){}", &src[..i], &src[i..j], &src[j..]))
-}
-
-/// The edit-resubmit measurement behind [`Row::incr_total_s`]: a seeding
-/// pass verifies `p` with a temporary artifact store (publishing its
-/// manifest, predicate environment, per-definition abstractions, and
-/// interpolants), then the single-literal edit of the source is verified
-/// against that store. Returns the edited run's CEGAR-loop seconds and
-/// whether its verdict kind matches `cold` (`(0.0, true)` if the
-/// measurement could not be set up — the cold row is still valid then).
-fn incr_rerun(p: &SuiteProgram, cold: &Verdict) -> (f64, bool) {
-    let dir = std::env::temp_dir().join(format!(
-        "homc-bench-incr-{}-{}",
-        std::process::id(),
-        p.name.replace(|c: char| !c.is_alphanumeric(), "_")
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let artifacts = Some(ArtifactConfig {
-        dir: dir.clone(),
-        key: p.name.to_string(),
-    });
-    let seeded = verify(
-        p.source,
-        &VerifierOptions {
-            artifacts: artifacts.clone(),
-            ..VerifierOptions::default()
-        },
-    );
-    if seeded.is_err() {
-        let _ = std::fs::remove_dir_all(&dir);
-        return (0.0, true);
-    }
-    let edited = edit_one_literal(p.source).unwrap_or_else(|| p.source.to_string());
-    let out = verify(
-        &edited,
-        &VerifierOptions {
-            artifacts,
-            ..VerifierOptions::default()
-        },
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    match out {
-        Ok(out) => {
-            let same = matches!(
-                (&out.verdict, cold),
-                (Verdict::Safe, Verdict::Safe)
-                    | (Verdict::Unsafe { .. }, Verdict::Unsafe { .. })
-                    | (Verdict::Unknown { .. }, Verdict::Unknown { .. })
-            );
-            (out.stats.total.as_secs_f64(), same)
-        }
-        Err(_) => (0.0, false),
-    }
-}
-
-/// Round-trips the cold run's query cache through a temporary on-disk
-/// segment, then verifies `p` again against the reloaded cache. Returns the
-/// warm run's CEGAR-loop seconds and disk-hit count (`(0.0, 0)` if the rerun
-/// could not be measured — the cold row is still valid then).
-fn warm_rerun(p: &SuiteProgram, cold_cache: &QueryCache) -> (f64, u64) {
-    let dir = std::env::temp_dir().join(format!(
-        "homc-bench-warm-{}-{}",
-        std::process::id(),
-        p.name.replace(|c: char| !c.is_alphanumeric(), "_")
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let disk = DiskCache::new(&dir);
-    let warm_cache = Arc::new(QueryCache::new());
-    let round_trip = disk
-        .publish(cold_cache)
-        .and_then(|_| disk.load_into(&warm_cache));
-    let _ = std::fs::remove_dir_all(&dir);
-    if round_trip.is_err() {
-        return (0.0, 0);
-    }
-    let opts = VerifierOptions {
-        cache: Some(warm_cache),
-        ..VerifierOptions::default()
-    };
-    match verify(p.source, &opts) {
-        Ok(out) => (out.stats.total.as_secs_f64(), out.stats.disk_hits),
-        Err(_) => (0.0, 0),
     }
 }
 
@@ -272,12 +110,13 @@ pub fn format_row(r: &Row) -> String {
     )
 }
 
-/// The baseline document's schema version. `bench-diff` refuses to compare
-/// documents whose schema (or suite, or clock mode) disagrees. Schema 5
-/// added the cross-run incremental column (`incr_total_s` per row,
-/// `incr_wall_s` in the totals); schema 6 added the evidence-checker
-/// column (`check_s` per row, `check_wall_s` in the totals).
-const SCHEMA: u64 = 6;
+/// The baseline document's schema version. `bench-diff` compares two
+/// documents of different schemas on the fields both carry. Schema 7
+/// dropped the in-process warm, edit-resubmit and certificate-check columns
+/// of schemas 5 and 6 (`warm_total_s`, `warm_disk_hits`, `incr_total_s`,
+/// `check_s`, and their totals); `perfbench` times those scenarios as real
+/// processes.
+const SCHEMA: u64 = 7;
 
 /// Escapes a string for a JSON string literal (the names and verdicts here
 /// are ASCII identifiers, but quoting defensively costs nothing).
@@ -310,13 +149,11 @@ fn counter_members(stats: &VerifyStats) -> String {
 
 /// Renders the collected rows as the benchmark-baseline JSON document: a
 /// `meta` header, one object per program (verdict, trace-derived columns,
-/// per-phase seconds, every run-table counter, then the warm, incremental
-/// and checker columns), and suite totals (each counter merged by its
-/// row's rule: summed, or the maximum for peak bytes).
+/// per-phase seconds and every run-table counter), and suite totals (each
+/// counter merged by its row's rule: summed, or the maximum for peak bytes).
 pub fn to_json(rows: &[Row]) -> String {
     let mut totals = VerifyStats::default();
-    let (mut wall, mut warm_wall, mut incr_wall, mut check_wall) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut warm_disk_hits = 0u64;
+    let mut wall = 0.0f64;
     let mut body = String::from("{\n");
     let _ = writeln!(
         body,
@@ -335,17 +172,11 @@ pub fn to_json(rows: &[Row]) -> String {
         };
         totals.absorb(s);
         wall += s.total.as_secs_f64();
-        warm_wall += r.warm_total_s;
-        warm_disk_hits += r.warm_disk_hits;
-        incr_wall += r.incr_total_s;
-        check_wall += r.check_s;
         let _ = writeln!(
             body,
             "    {{\"name\": {}, \"verdict\": {}, \"verdict_ok\": {}, \
              \"iterations\": {}, \"peak_hbp\": {}, \
-             \"abst_s\": {:.4}, \"mc_s\": {:.4}, \"cegar_s\": {:.4}, \"total_s\": {:.4}{}, \
-             \"warm_total_s\": {:.4}, \"warm_disk_hits\": {}, \"incr_total_s\": {:.4}, \
-             \"check_s\": {:.4}}}{}",
+             \"abst_s\": {:.4}, \"mc_s\": {:.4}, \"cegar_s\": {:.4}, \"total_s\": {:.4}{}}}{}",
             json_str(r.name),
             json_str(verdict),
             r.verdict_ok,
@@ -356,18 +187,12 @@ pub fn to_json(rows: &[Row]) -> String {
             s.cegar.as_secs_f64(),
             s.total.as_secs_f64(),
             counter_members(s),
-            r.warm_total_s,
-            r.warm_disk_hits,
-            r.incr_total_s,
-            r.check_s,
             if i + 1 == rows.len() { "" } else { "," },
         );
     }
     let _ = write!(
         body,
-        "  ],\n  \"totals\": {{\"wall_s\": {wall:.4}{}, \"warm_wall_s\": {warm_wall:.4}, \
-         \"warm_disk_hits\": {warm_disk_hits}, \"incr_wall_s\": {incr_wall:.4}, \
-         \"check_wall_s\": {check_wall:.4}}}\n}}\n",
+        "  ],\n  \"totals\": {{\"wall_s\": {wall:.4}{}}}\n}}\n",
         counter_members(&totals),
     );
     body
@@ -400,26 +225,6 @@ pub fn time_it<R>(name: &str, iters: usize, mut f: impl FnMut() -> R) {
 mod tests {
     use super::*;
     use homc::suite;
-
-    #[test]
-    fn literal_edit_wraps_standalone_digits_only() {
-        assert_eq!(
-            edit_one_literal("mc91 x9 + 12").as_deref(),
-            Some("mc91 x9 + (0 + 12)")
-        );
-        assert_eq!(
-            edit_one_literal("if x = 0 then 1 else 2").as_deref(),
-            Some("if x = 0 then 1 else (0 + 2)")
-        );
-        assert_eq!(edit_one_literal("no literals here"), None);
-        // The acceptance program must be genuinely edited (a program with
-        // no literal, like `max`, falls back to an unchanged resubmit), and
-        // the edit must stay parseable.
-        let z = suite::find("l-zipmap").expect("present");
-        let edited = edit_one_literal(z.source).expect("l-zipmap has literals");
-        assert_ne!(edited, z.source);
-        homc::verify(&edited, &homc::VerifierOptions::default()).expect("edited source compiles");
-    }
 
     #[test]
     fn harness_reproduces_a_known_row() {

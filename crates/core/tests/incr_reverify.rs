@@ -104,9 +104,9 @@ fn same_kind(a: &Verdict, b: &Verdict) -> bool {
 }
 
 /// Fast programs with at least one editable literal, spanning safe and
-/// unsafe paper verdicts. (The full 28-program sweep belongs to the bench
-/// harness, which measures the same scenario; this test must stay cheap
-/// enough for `cargo test`.)
+/// unsafe paper verdicts: the randomized sweep verifies each edit twice, so
+/// it stays on a handful of programs. The whole suite gets one edit each in
+/// [`last_literal_edit_keeps_every_suite_verdict`].
 const EDIT_PROGRAMS: &[&str] = &["intro1", "intro3", "sum", "mult", "mc91", "l-zipmap"];
 
 /// Randomized single-edit differential: seed artifacts from the original
@@ -144,6 +144,37 @@ fn randomized_single_literal_edits_match_cold_verdicts() {
                 "{name} edit #{n}: semantics-preserving edit flipped the verdict"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The edit-resubmit verdict check over the whole suite: seed artifacts
+/// from each program, wrap its *last* literal (the suite programs end in
+/// their main expression, so this is the use-site tweak a resubmitting user
+/// makes, and it perturbs only main's cone), and re-verify against the
+/// store. The edit preserves semantics, so the verdict kind must not move.
+/// A program without literals (`max`) is resubmitted unchanged.
+#[test]
+fn last_literal_edit_keeps_every_suite_verdict() {
+    for p in suite::SUITE {
+        let dir = scratch_dir("last", p.name);
+        let cfg = || {
+            Some(ArtifactConfig {
+                dir: dir.clone(),
+                key: p.name.to_string(),
+            })
+        };
+        let seeded = verify_with(p.source, cfg());
+        let last = literal_spans(p.source).len().saturating_sub(1);
+        let edited = edit_nth_literal(p.source, last).unwrap_or_else(|| p.source.to_string());
+        let incr = verify_with(&edited, cfg());
+        assert!(
+            same_kind(&seeded.verdict, &incr.verdict),
+            "{}: last-literal edit flipped {:?} to {:?}",
+            p.name,
+            seeded.verdict,
+            incr.verdict
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

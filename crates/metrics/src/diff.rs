@@ -1,8 +1,10 @@
-//! Run-comparison engines behind `homc trace-diff` and `homc bench-diff`.
+//! The run-comparison core behind `homc trace-diff`, `homc bench-diff` and
+//! `homc regress`.
 //!
-//! Both tools share one model: each side is distilled into *per-program
-//! metric maps* (`name → f64`), the maps are diffed key-by-key, and three
-//! severities fall out of the comparison, encoded in the exit code:
+//! All three tools share one model: each side is distilled into
+//! *per-program metric maps* (`name → f64`), [`diff_programs`] diffs the
+//! maps key-by-key, and three severities fall out of the comparison,
+//! encoded in the exit code:
 //!
 //! | exit | meaning                                        |
 //! |------|------------------------------------------------|
@@ -22,10 +24,13 @@
 //! records plus event counts, and histogram summaries (p50/p90/max per
 //! [`crate::Hist`] vocabulary) rebuilt from the `smt`, `interp_cut`,
 //! `mc_round`, and `iter` events. `bench-diff` compares two table1
-//! `--json` baselines and first checks their `meta` headers (schema,
-//! suite, clock) — mismatches refuse to diff rather than produce noise.
+//! `--json` baselines: a `suite` or `clock` mismatch in their `meta`
+//! headers refuses the diff, while documents of different schemas are
+//! compared on the fields both carry (the rest are listed, never gated).
+//! `regress` (in `homc-serve`) maps a run ledger's trailing-window median
+//! and newest run onto the same per-program maps.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use homc_trace::{parse_json, JsonValue};
@@ -41,7 +46,7 @@ pub struct Threshold {
     pub slack: f64,
 }
 
-/// Options shared by both diff tools.
+/// Options shared by the diff tools.
 #[derive(Clone, Debug, Default)]
 pub struct DiffOptions {
     /// `(metric name, rule)` pairs; later entries win on name collisions.
@@ -82,8 +87,11 @@ pub fn parse_threshold(s: &str) -> Result<(String, Threshold), String> {
 
 /// The built-in `--gate` rules (the tier1 bench guard): suite wall time
 /// within 1.25x (+0.2 s jitter), per-program total time within 2x (+0.1 s),
-/// per-program SMT query count within 1.5x (+200 queries).
+/// per-program SMT query count within 1.5x (+200 queries), and the suite's
+/// total SMT queries and CEGAR cycles exactly (both are deterministic:
+/// identical across reruns and CPU counts).
 fn gate_defaults() -> Vec<(String, Threshold)> {
+    let exact = Threshold { ratio: 1.0, slack: 0.0 };
     vec![
         (
             "totals.wall_s".to_string(),
@@ -94,7 +102,17 @@ fn gate_defaults() -> Vec<(String, Threshold)> {
             "smt_queries".to_string(),
             Threshold { ratio: 1.5, slack: 200.0 },
         ),
+        ("totals.smt_queries".to_string(), exact),
+        ("totals.cycles".to_string(), exact),
     ]
+}
+
+/// The rules a diff applies: the `--gate` defaults when asked for, then
+/// the caller's own (later entries win).
+fn rules(opts: &DiffOptions) -> Vec<(String, Threshold)> {
+    let mut thresholds = if opts.gate { gate_defaults() } else { Vec::new() };
+    thresholds.extend(opts.thresholds.iter().cloned());
+    thresholds
 }
 
 /// The outcome of a diff: rendered report plus severity tallies.
@@ -130,10 +148,14 @@ impl DiffReport {
 
 /// One side's distilled program: verdict plus flat metrics.
 #[derive(Clone, Debug, Default)]
-struct ProgramSummary {
-    verdict: String,
-    clock: String,
-    metrics: BTreeMap<String, f64>,
+pub struct ProgramSummary {
+    /// The verdict; two different verdicts are a flip.
+    pub verdict: String,
+    /// The clock the run was measured under (empty where the source does
+    /// not record one).
+    pub clock: String,
+    /// Metric name → value.
+    pub metrics: BTreeMap<String, f64>,
 }
 
 fn text_of<'v>(v: &'v JsonValue, key: &str) -> &'v str {
@@ -289,7 +311,7 @@ fn diff_metrics(
     old: &BTreeMap<String, f64>,
     new: &BTreeMap<String, f64>,
 ) {
-    let keys: std::collections::BTreeSet<&String> = old.keys().chain(new.keys()).collect();
+    let keys: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
     for key in keys {
         let o = old.get(key).copied().unwrap_or(0.0);
         let n = new.get(key).copied().unwrap_or(0.0);
@@ -319,14 +341,19 @@ fn diff_metrics(
     }
 }
 
-/// Diffs two sets of per-program summaries (the shared core of both tools).
-fn diff_programs(
-    report: &mut DiffReport,
+/// Diffs two sets of per-program summaries — the core every comparison
+/// tool ends in. `report` may already carry the caller's notes and tallies;
+/// the per-program lines and a closing `{what}:` summary are appended.
+/// A program on one side only counts as a breach, a verdict difference as
+/// a flip, and a metric as a breach when its rule in `thresholds` fires.
+pub fn diff_programs(
+    what: &str,
+    mut report: DiffReport,
     thresholds: &[(String, Threshold)],
     old: &BTreeMap<String, ProgramSummary>,
     new: &BTreeMap<String, ProgramSummary>,
-) {
-    let names: std::collections::BTreeSet<&String> = old.keys().chain(new.keys()).collect();
+) -> DiffReport {
+    let names: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
     for name in names {
         match (old.get(name), new.get(name)) {
             (Some(_), None) => {
@@ -350,20 +377,22 @@ fn diff_programs(
                         if n.verdict.is_empty() { "<none>" } else { &n.verdict },
                     );
                 }
-                diff_metrics(report, thresholds, name, &o.metrics, &n.metrics);
+                diff_metrics(&mut report, thresholds, name, &o.metrics, &n.metrics);
             }
             (None, None) => unreachable!("name came from a key set"),
         }
     }
-}
-
-fn finish(mut report: DiffReport, what: &str) -> DiffReport {
-    if report.changes == 0 && report.incompatible.is_none() {
-        let _ = writeln!(report.text, "{what}: no differences");
-    } else if report.incompatible.is_none() {
+    let status = match report.exit_code() {
+        0 => "ok",
+        1 => "over threshold",
+        _ => "verdict flip",
+    };
+    if report.changes == 0 {
+        let _ = writeln!(report.text, "{what}: no differences: {status}");
+    } else {
         let _ = writeln!(
             report.text,
-            "{what}: {} change(s), {} over threshold, {} verdict flip(s)",
+            "{what}: {} change(s), {} over threshold, {} verdict flip(s): {status}",
             report.changes, report.breaches, report.flips
         );
     }
@@ -397,13 +426,7 @@ pub fn trace_diff(old: &str, new: &str, opts: &DiffOptions) -> DiffReport {
             }
         }
     }
-    let mut thresholds = Vec::new();
-    if opts.gate {
-        thresholds.extend(gate_defaults());
-    }
-    thresholds.extend(opts.thresholds.iter().cloned());
-    diff_programs(&mut report, &thresholds, &old_runs, &new_runs);
-    finish(report, "trace-diff")
+    diff_programs("trace-diff", report, &rules(opts), &old_runs, &new_runs)
 }
 
 /// Reads the bench baseline's `meta` header into sorted `(key, value)`
@@ -467,10 +490,47 @@ fn summarize_bench(doc: &JsonValue) -> Result<BTreeMap<String, ProgramSummary>, 
     Ok(out)
 }
 
-/// Keys on which a `meta` disagreement makes two baselines incomparable
-/// (`threads` differences are reported but tolerated: the suite is
-/// verdict-deterministic across thread counts).
-const META_STRICT: &[&str] = &["schema", "suite", "clock"];
+/// Keys on which a `meta` disagreement makes two baselines incomparable.
+/// `schema` and `threads` differences are reported but tolerated: fields
+/// are compared where both schemas carry them, and the suite is
+/// verdict-deterministic across thread counts.
+const META_STRICT: &[&str] = &["suite", "clock"];
+
+/// Leaves out of the comparison every field that only one document
+/// carries (a per-program column, or `totals.<name>`), listing them in the
+/// report: a schema bump adds and removes columns, and a column the other
+/// side never measured is neither a regression nor an improvement.
+fn keep_shared_fields(
+    report: &mut DiffReport,
+    old: &mut BTreeMap<String, ProgramSummary>,
+    new: &mut BTreeMap<String, ProgramSummary>,
+) {
+    let field = |prog: &str, key: &str| {
+        if prog == "totals" {
+            format!("totals.{key}")
+        } else {
+            key.to_string()
+        }
+    };
+    let fields = |m: &BTreeMap<String, ProgramSummary>| -> BTreeSet<String> {
+        m.iter()
+            .flat_map(|(prog, s)| s.metrics.keys().map(|k| field(prog, k)))
+            .collect()
+    };
+    let (of, nf) = (fields(old), fields(new));
+    for (side, only) in [("old", of.difference(&nf)), ("new", nf.difference(&of))] {
+        let only: Vec<&str> = only.map(String::as_str).collect();
+        if !only.is_empty() {
+            let _ = writeln!(report.text, "  fields only in {side}: {}", only.join(", "));
+        }
+    }
+    let shared: BTreeSet<&String> = of.intersection(&nf).collect();
+    for m in [old, new] {
+        for (prog, s) in m.iter_mut() {
+            s.metrics.retain(|k, _| shared.contains(&field(prog, k)));
+        }
+    }
+}
 
 /// Diffs two table1 `--json` baselines (`homc bench-diff`).
 pub fn bench_diff(old: &str, new: &str, opts: &DiffOptions) -> DiffReport {
@@ -505,38 +565,38 @@ pub fn bench_diff(old: &str, new: &str, opts: &DiffOptions) -> DiffReport {
                     return report;
                 }
             }
-            let (ot, nt) = (get(&om, "threads"), get(&nm, "threads"));
-            if ot != nt {
-                let _ = writeln!(
-                    report.text,
-                    "  note: thread counts differ ({} vs {})",
-                    ot.as_deref().unwrap_or("<absent>"),
-                    nt.as_deref().unwrap_or("<absent>"),
-                );
+            for (key, what) in [("schema", "schemas"), ("threads", "thread counts")] {
+                let (ov, nv) = (get(&om, key), get(&nm, key));
+                if ov != nv {
+                    let _ = writeln!(
+                        report.text,
+                        "  note: {what} differ ({} vs {})",
+                        ov.as_deref().unwrap_or("<absent>"),
+                        nv.as_deref().unwrap_or("<absent>"),
+                    );
+                }
             }
-        }
-        (None, None) => {
-            let _ = writeln!(report.text, "  note: no meta headers (pre-schema baselines)");
         }
         (old_meta, _) => {
             report.incompatible = Some(format!(
-                "only the {} baseline has a meta header — refusing to compare",
-                if old_meta.is_some() { "old" } else { "new" },
+                "the {} baseline has no meta header — refusing to compare",
+                if old_meta.is_some() { "new" } else { "old" },
             ));
             return report;
         }
     }
-    let (old_progs, new_progs) = match (summarize_bench(&old_doc), summarize_bench(&new_doc)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) => {
-            report.incompatible = Some(format!("old baseline: {e}"));
-            return report;
-        }
-        (_, Err(e)) => {
-            report.incompatible = Some(format!("new baseline: {e}"));
-            return report;
-        }
-    };
+    let (mut old_progs, mut new_progs) =
+        match (summarize_bench(&old_doc), summarize_bench(&new_doc)) {
+            (Ok(o), Ok(n)) => (o, n),
+            (Err(e), _) => {
+                report.incompatible = Some(format!("old baseline: {e}"));
+                return report;
+            }
+            (_, Err(e)) => {
+                report.incompatible = Some(format!("new baseline: {e}"));
+                return report;
+            }
+        };
     // Verdict-ok regressions are flips even when the verdict string is
     // unchanged in form (e.g. "unknown" expected-safe both sides is fine,
     // but ok=true -> ok=false must gate hard).
@@ -553,13 +613,8 @@ pub fn bench_diff(old: &str, new: &str, opts: &DiffOptions) -> DiffReport {
             }
         }
     }
-    let mut thresholds = Vec::new();
-    if opts.gate {
-        thresholds.extend(gate_defaults());
-    }
-    thresholds.extend(opts.thresholds.iter().cloned());
-    diff_programs(&mut report, &thresholds, &old_progs, &new_progs);
-    finish(report, "bench-diff")
+    keep_shared_fields(&mut report, &mut old_progs, &mut new_progs);
+    diff_programs("bench-diff", report, &rules(opts), &old_progs, &new_progs)
 }
 
 #[cfg(test)]
@@ -679,6 +734,57 @@ mod tests {
         assert_eq!(r.exit_code(), 3, "{}", r.text);
         let missing = bench_diff(&old, &bench("", 0.5, 1000, true), &DiffOptions::default());
         assert_eq!(missing.exit_code(), 3, "{}", missing.text);
+        let bare = bench("", 0.5, 1000, true);
+        assert_eq!(bench_diff(&bare, &bare, &DiffOptions::default()).exit_code(), 3);
+    }
+
+    #[test]
+    fn gate_holds_suite_query_total_exactly() {
+        let old = bench(META, 0.5, 1000, true);
+        // One more query: inside the per-program 1.5x rule, over the exact
+        // suite-total rule.
+        let gate = DiffOptions { thresholds: vec![], gate: true };
+        let r = bench_diff(&old, &bench(META, 0.5, 1001, true), &gate);
+        assert_eq!(r.exit_code(), 1, "{}", r.text);
+        assert!(r.text.contains("totals smt_queries: 1000 -> 1001"), "{}", r.text);
+        assert!(!r.text.contains("p1 smt_queries: 1000 -> 1001 (+0.1%)  **"), "{}", r.text);
+    }
+
+    #[test]
+    fn schema_bump_compares_the_shared_fields() {
+        let v6 = META.replace("\"schema\": 2", "\"schema\": 6");
+        let v7 = META.replace("\"schema\": 2", "\"schema\": 7");
+        // Schema 6 carries a column (per row and in the totals) that schema
+        // 7 dropped; schema 7 carries one that 6 never had.
+        let doc6 = |total_s, smt, ok| {
+            bench(&v6, total_s, smt, ok).replace(
+                &format!("\"smt_queries\": {smt}}}"),
+                &format!("\"smt_queries\": {smt}, \"warm_total_s\": 9.0}}"),
+            )
+        };
+        let doc7 = |total_s, smt, ok| {
+            bench(&v7, total_s, smt, ok)
+                .replace("\"cycles\": 2", "\"cycles\": 2, \"feas_s\": 0.1")
+        };
+        let gate = DiffOptions {
+            thresholds: vec![parse_threshold("warm_total_s=1.0").expect("parses")],
+            gate: true,
+        };
+        let same = bench_diff(&doc6(0.5, 1000, true), &doc7(0.5, 1000, true), &gate);
+        assert_eq!(same.exit_code(), 0, "{}", same.text);
+        assert!(same.text.contains("note: schemas differ (6 vs 7)"), "{}", same.text);
+        assert!(
+            same.text.contains("fields only in old: totals.warm_total_s, warm_total_s"),
+            "{}",
+            same.text
+        );
+        assert!(same.text.contains("fields only in new: feas_s"), "{}", same.text);
+        assert!(same.text.contains("bench-diff: no differences"), "{}", same.text);
+        // The shared fields still gate: a slowdown breaches, a flip flips.
+        let slow = bench_diff(&doc6(0.5, 1000, true), &doc7(1.5, 3000, true), &gate);
+        assert_eq!(slow.exit_code(), 1, "{}", slow.text);
+        let flip = bench_diff(&doc6(0.5, 1000, true), &doc7(0.5, 1000, false), &gate);
+        assert_eq!(flip.exit_code(), 2, "{}", flip.text);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   span hierarchy of a wall-clock trace (the tracer and the profiler share
 //!   one instrumentation point — the `span`/`smt`/`iter` events) and renders
 //!   flamegraph.pl-compatible folded stacks with inclusive/exclusive time.
-//! * **Run-diff engines** ([`mod@diff`]): `homc trace-diff` and
-//!   `homc bench-diff` — per-program per-counter/per-histogram deltas,
+//! * **Run-diff core** ([`mod@diff`]): `homc trace-diff`, `homc bench-diff`
+//!   and `homc regress` — per-program per-counter/per-histogram deltas,
 //!   verdict-flip detection as a hard error, configurable thresholds.
 //!
 //! # Determinism

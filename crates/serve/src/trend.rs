@@ -5,14 +5,16 @@
 //! every other latency report in the tree). `regress` gates the newest run
 //! against a trailing-window baseline: for each program, the new wall time
 //! must not exceed `median(baseline) * ratio + slack`, and its verdict must
-//! not differ from the most recent baseline verdict. The exit-code contract
-//! mirrors `bench-diff`: 0 clean, 1 latency breach, 2 verdict flip, 3
-//! incompatible record schema — so CI can gate on history, not just the one
-//! checked-in baseline file.
+//! not differ from the most recent baseline verdict. Both sides become the
+//! per-program maps of `homc_metrics::diff`, and the comparison is that
+//! module's [`diff_programs`] — the core behind `trace-diff` and
+//! `bench-diff` — so the exit codes are theirs: 0 clean, 1 latency breach,
+//! 2 verdict flip, 3 incompatible record schema.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use homc_metrics::diff::{diff_programs, DiffReport, ProgramSummary, Threshold};
 use homc_metrics::HistSnapshot;
 
 use crate::ledger::{RunRecord, RECORD_SCHEMA};
@@ -38,35 +40,6 @@ impl Default for TrendOptions {
     }
 }
 
-/// What [`regress`] concluded.
-#[derive(Clone, Debug)]
-pub struct RegressReport {
-    /// Human-readable report (one table row per gated program).
-    pub text: String,
-    /// Programs whose new wall time breached the gate.
-    pub breaches: Vec<String>,
-    /// Programs whose verdict differs from the most recent baseline.
-    pub flips: Vec<String>,
-    /// Set when any record carries a foreign schema version.
-    pub incompatible: Option<String>,
-}
-
-impl RegressReport {
-    /// `bench-diff`-compatible exit code: 0 clean, 1 breach, 2 flip, 3
-    /// incompatible (flips outrank breaches; incompatibility outranks both).
-    pub fn exit_code(&self) -> u8 {
-        if self.incompatible.is_some() {
-            3
-        } else if !self.flips.is_empty() {
-            2
-        } else if !self.breaches.is_empty() {
-            1
-        } else {
-            0
-        }
-    }
-}
-
 fn ms(us: u64) -> String {
     format!("{:.1}", us as f64 / 1000.0)
 }
@@ -81,31 +54,30 @@ fn by_run(records: &[RunRecord]) -> BTreeMap<u64, Vec<&RunRecord>> {
 
 /// Gates the newest run against the trailing-window baseline. Pure over its
 /// inputs: the same ledger records and options always produce the same
-/// report (programs are processed in sorted order).
-pub fn regress(records: &[RunRecord], opts: &TrendOptions) -> RegressReport {
+/// report (programs are processed in sorted order). A program without
+/// baseline samples is listed as new and not gated; a baseline program
+/// missing from the newest run is not compared.
+pub fn regress(records: &[RunRecord], opts: &TrendOptions) -> DiffReport {
     if let Some(foreign) = records.iter().find(|r| r.schema != RECORD_SCHEMA) {
         let msg = format!(
             "run {} record {:?} has schema {} but this build reads schema {}",
             foreign.run, foreign.program, foreign.schema, RECORD_SCHEMA
         );
-        return RegressReport {
+        return DiffReport {
             text: format!("regress: incompatible ledger: {msg}\n"),
-            breaches: Vec::new(),
-            flips: Vec::new(),
             incompatible: Some(msg),
+            ..DiffReport::default()
         };
     }
     let runs = by_run(records);
     if runs.len() < 2 {
-        return RegressReport {
+        return DiffReport {
             text: format!(
                 "regress: insufficient history ({} run{}, need 2)\n",
                 runs.len(),
                 if runs.len() == 1 { "" } else { "s" }
             ),
-            breaches: Vec::new(),
-            flips: Vec::new(),
-            incompatible: None,
+            ..DiffReport::default()
         };
     }
     let (&newest_id, newest) = runs.iter().next_back().expect("non-empty");
@@ -117,92 +89,48 @@ pub fn regress(records: &[RunRecord], opts: &TrendOptions) -> RegressReport {
         .copied()
         .collect();
 
-    let mut text = String::new();
+    let mut report = DiffReport::default();
     let _ = writeln!(
-        text,
+        report.text,
         "regress: run {newest_id} vs baseline of {} run(s), gate = median*{} + {}ms",
         baseline_ids.len(),
         opts.ratio,
         opts.slack_us / 1000
     );
-    let _ = writeln!(
-        text,
-        "{:<14} {:>10} {:>10} {:>8}  status",
-        "program", "base ms", "new ms", "ratio"
-    );
-    let mut breaches = Vec::new();
-    let mut flips = Vec::new();
-
-    let mut programs: Vec<&RunRecord> = newest.clone();
+    let summary = |verdict: &str, wall_us: u64| ProgramSummary {
+        verdict: verdict.to_string(),
+        metrics: BTreeMap::from([("wall_ms".to_string(), wall_us as f64 / 1000.0)]),
+        ..ProgramSummary::default()
+    };
+    let mut programs = newest.clone();
     programs.sort_by(|a, b| a.program.cmp(&b.program));
+    let (mut old, mut new) = (BTreeMap::new(), BTreeMap::new());
     for rec in programs {
         // Baseline samples, most recent first (baseline_ids is descending).
-        let mut walls = Vec::new();
-        let mut last_verdict: Option<&str> = None;
-        for id in &baseline_ids {
-            for b in &runs[id] {
-                if b.program == rec.program {
-                    walls.push(b.wall_us);
-                    if last_verdict.is_none() {
-                        last_verdict = Some(&b.verdict);
-                    }
-                }
-            }
-        }
-        if walls.is_empty() {
+        let samples: Vec<&RunRecord> = baseline_ids
+            .iter()
+            .flat_map(|id| runs[id].iter().copied())
+            .filter(|b| b.program == rec.program)
+            .collect();
+        let Some(last) = samples.first() else {
             let _ = writeln!(
-                text,
-                "{:<14} {:>10} {:>10} {:>8}  new program",
+                report.text,
+                "  {}: new program ({} ms), no baseline",
                 rec.program,
-                "-",
-                ms(rec.wall_us),
-                "-"
+                ms(rec.wall_us)
             );
             continue;
-        }
+        };
+        let mut walls: Vec<u64> = samples.iter().map(|b| b.wall_us).collect();
         walls.sort_unstable();
-        let median = walls[walls.len() / 2];
-        let gate = median as f64 * opts.ratio + opts.slack_us as f64;
-        let ratio = if median == 0 {
-            0.0
-        } else {
-            rec.wall_us as f64 / median as f64
-        };
-        let flipped = last_verdict.is_some_and(|v| v != rec.verdict);
-        let status = if flipped {
-            flips.push(rec.program.clone());
-            format!(
-                "VERDICT FLIP ({} -> {})",
-                last_verdict.unwrap_or("?"),
-                rec.verdict
-            )
-        } else if rec.wall_us as f64 > gate {
-            breaches.push(rec.program.clone());
-            "BREACH".to_string()
-        } else {
-            "ok".to_string()
-        };
-        let _ = writeln!(
-            text,
-            "{:<14} {:>10} {:>10} {:>7.2}x  {status}",
-            rec.program,
-            ms(median),
-            ms(rec.wall_us),
-            ratio
-        );
+        old.insert(rec.program.clone(), summary(&last.verdict, walls[walls.len() / 2]));
+        new.insert(rec.program.clone(), summary(&rec.verdict, rec.wall_us));
     }
-    let _ = writeln!(
-        text,
-        "regress: {} breach(es), {} flip(s)",
-        breaches.len(),
-        flips.len()
-    );
-    RegressReport {
-        text,
-        breaches,
-        flips,
-        incompatible: None,
-    }
+    let gate = Threshold {
+        ratio: opts.ratio,
+        slack: opts.slack_us as f64 / 1000.0,
+    };
+    diff_programs("regress", report, &[("wall_ms".to_string(), gate)], &old, &new)
 }
 
 /// Renders per-program history. Without a filter: one row per program with
@@ -321,7 +249,7 @@ mod tests {
         ];
         let report = regress(&records, &TrendOptions::default());
         assert_eq!(report.exit_code(), 1, "{}", report.text);
-        assert_eq!(report.breaches, vec!["sum".to_string()]);
+        assert!(report.text.contains("  sum wall_ms: 1000 -> 2000"), "{}", report.text);
     }
 
     #[test]
@@ -332,7 +260,7 @@ mod tests {
         ];
         let report = regress(&records, &TrendOptions::default());
         assert_eq!(report.exit_code(), 2, "{}", report.text);
-        assert_eq!(report.flips, vec!["sum".to_string()]);
+        assert!(report.text.contains("  sum: VERDICT FLIP safe -> unsafe"), "{}", report.text);
     }
 
     #[test]

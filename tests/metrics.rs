@@ -184,16 +184,35 @@ fn bench_diff_cli_exit_codes() {
         String::from_utf8_lossy(&flipped.stdout)
     );
 
-    // Meta disagreement on a strict key refuses the comparison: exit 3.
-    let other_meta =
+    // A schema difference is compared on the shared fields: exit 0.
+    let other_schema =
         "  \"meta\": {\"schema\": 1, \"suite\": \"table1\", \"threads\": 4, \"clock\": \"wall\"},\n";
     let old_schema = write_tmp(
         &dir,
         "old_schema.json",
-        &bench_doc(other_meta, 1.0, "safe", true),
+        &bench_doc(other_schema, 1.0, "safe", true),
+    );
+    let shared = homc()
+        .args(["bench-diff", &base, &old_schema, "--gate"])
+        .output()
+        .expect("runs");
+    assert_eq!(
+        shared.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&shared.stdout)
+    );
+
+    // Meta disagreement on a strict key refuses the comparison: exit 3.
+    let other_suite =
+        "  \"meta\": {\"schema\": 2, \"suite\": \"other\", \"threads\": 4, \"clock\": \"wall\"},\n";
+    let foreign = write_tmp(
+        &dir,
+        "other_suite.json",
+        &bench_doc(other_suite, 1.0, "safe", true),
     );
     let refused = homc()
-        .args(["bench-diff", &base, &old_schema])
+        .args(["bench-diff", &base, &foreign])
         .output()
         .expect("runs");
     assert_eq!(
